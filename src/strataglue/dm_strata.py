@@ -13,14 +13,12 @@ automorphisms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .fields import REAL
 from .gluing_engine import build_atlas, linear_model
-from .linear_strata import LinearStratification, popcount
-from .stable_graphs import (GraphClass, automorphism_group, build_poset,
-                            enumerate_stable_graphs)
+from .linear_strata import LinearStratification, indices_of, popcount
+from .stable_graphs import GraphClass, automorphism_group, build_poset
 
 
 @dataclass(frozen=True)
@@ -46,8 +44,7 @@ class EdgeStratification:
             "graph": self.graph_class.describe(),
             "classes": [{
                 "target": target.describe(),
-                "subsets": [sorted(e + 1 for e in range(32)
-                                   if mask & (1 << e)) for mask in masks],
+                "subsets": [list(indices_of(mask)) for mask in masks],
             } for target, masks in self.targets],
             "stratification": self.stratification.to_json(),
         }
@@ -184,5 +181,7 @@ def dm_report(g, n, with_atlas=True, atlas_cache=None):
         entries.append(entry)
     ok = all(e["dimension_matching"] and e["functoriality"]
              and e["equivariance"]
-             and e.get("atlas_compatible", True) for e in entries)
+             and e.get("atlas_compatible", True)
+             and e.get("atlas_separated", True)
+             and e.get("atlas_covers", True) for e in entries)
     return {"signature": [g, n], "ok": ok, "classes": entries}

@@ -24,13 +24,12 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .fields import (REAL, box_abs, from_real_parts, is_zero, real_axes,
-                     real_parts, zero)
+from .fields import box_abs, from_real_parts, is_zero, real_axes, zero
 from .linear_strata import (LinearStratification, OrderError, indices_of,
                             popcount)
-from .regions import (INF, Region, axes_of, boundary_type, collar, covered,
-                      full_box, region_contains, region_subset,
-                      sample_points, split_nonzero, whole_stratum)
+from .regions import (Region, axes_of, boundary_type, collar, full_box,
+                      region_contains, region_subset, split_nonzero,
+                      whole_stratum)
 
 EPS_FLOOR = Fraction(1, 2 ** 32)
 
@@ -683,7 +682,6 @@ def build_atlas(model, grid=None):
                 for g in below:
                     if data[g].epsilon > half:
                         data[g] = replace(data[g], epsilon=half)
-    assert passes == len(model.layers)
     sep_ok, sep_wit = _separation(model, data, grid)
     while not sep_ok:
         smallest = min(d.epsilon for d in data.values())

@@ -10,11 +10,10 @@ non-rational values are the +/- infinity sentinels.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import REAL, real_axes, real_parts
+from .fields import real_axes, real_parts
 
 INF = float("inf")
 
@@ -39,9 +38,6 @@ class Region:
 
     cls: int
     boxes: tuple  # each box: tuple of (lo, hi) open rational intervals
-
-    def is_empty_boxes(self):
-        return not self.boxes
 
     def intersect(self, other):
         if self.cls != other.cls:
@@ -150,7 +146,7 @@ def split_nonzero(cell, axis_groups):
             else:
                 a0, a1 = axes
                 re_iv, im_iv = c[a0], c[a1]
-                for piece in _off_zero(re_iv):
+                for piece in _punctured(re_iv):
                     nxt.append(c[:a0] + (piece,) + c[a0 + 1:])
                 if _has_zero(re_iv):
                     mid = c[:a0] + ((Fraction(0), Fraction(0)),) + c[a0 + 1:]
@@ -178,10 +174,6 @@ def _punctured(iv):
     if hi > 0:
         out.append((max(lo, Fraction(0)), hi))
     return [p for p in out if p[0] < p[1]]
-
-
-def _off_zero(iv):
-    return _punctured(iv)
 
 
 # ---------------------------------------------------------------------------
@@ -303,70 +295,3 @@ def collar(strat, field, region):
         if b not in dedup:
             dedup.append(b)
     return Region(region.cls, tuple(dedup)), radius
-
-
-# ---------------------------------------------------------------------------
-# deterministic rational sampling
-
-def _stream(seed):
-    state = (seed * 2654435761 + 1) % (2 ** 31)
-    while True:
-        state = (state * 1103515245 + 12345) % (2 ** 31)
-        yield Fraction((state % 97) + 1, 128)  # in (0, 98/128]
-
-
-def sample_points(strat, field, region, count, seed=7):
-    """Up to count exact points of the region, spread over supports/boxes.
-
-    Deterministic for fixed arguments.  Points come from a fixed rational
-    stream mapped into each box, skipping candidates that miss the region
-    (zero coordinates where the support needs nonzero ones).
-    """
-    from .linear_strata import indices_of
-    gen = _stream(seed)
-    out = []
-    pieces = [(mask, box)
-              for mask in strat.classes[region.cls]
-              for box in region.boxes]
-    if not pieces:
-        return out
-    attempts = 0
-    k = real_axes(field)
-    while len(out) < count and attempts < 40 * count:
-        attempts += 1
-        mask, box = pieces[attempts % len(pieces)]
-        coords = []
-        ok = True
-        for coord in range(1, strat.m + 1):
-            parts = []
-            for a in axes_of(field, coord):
-                lo, hi = box[a]
-                if mask & (1 << (coord - 1)):
-                    t = next(gen)
-                    if lo == -INF and hi == INF:
-                        v = 2 * t - 1
-                    elif lo == -INF:
-                        v = hi - t
-                    elif hi == INF:
-                        v = lo + t
-                    else:
-                        v = lo + (hi - lo) * t * Fraction(127, 128)
-                    parts.append(v)
-                else:
-                    if not lo < 0 < hi:
-                        ok = False
-                        break
-                    parts.append(Fraction(0))
-            if not ok:
-                break
-            if mask & (1 << (coord - 1)) and all(p == 0 for p in parts):
-                ok = False
-                break
-            from .fields import from_real_parts
-            coords.append(from_real_parts(field, tuple(parts)))
-        if not ok:
-            continue
-        point = tuple(coords)
-        if region_contains(strat, field, region, point) and point not in out:
-            out.append(point)
-    return out

@@ -3,15 +3,20 @@
 A graph records nonnegative integer genus weights on vertices, a multiset of
 edges (loops allowed), and labelled tails.  The module provides genus and
 stability tests, simultaneous edge contraction, canonical forms up to
-isomorphism fixing the tails pointwise, automorphism groups, exhaustive
-enumeration for a type (g, n), and the poset of isomorphism classes ordered
-by contraction together with its layer decomposition.
+isomorphism fixing the tails pointwise, and automorphism groups.
+
+The classes of a type (g, n) are enumerated by degeneration: starting from
+the one-vertex graph of genus g with n tails, each class is degenerated at
+one node in every possible way (a new loop, or a vertex split in two), level
+by level.  A class with k edges appears at level k, and each degeneration
+found is a cover of the contraction poset, since contracting the new edge
+gives back the class it came from.  One pass thus yields both the classes
+and the poset with its layer decomposition.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 
@@ -25,6 +30,21 @@ class ConnectivityError(GraphError):
 
 class StabilityError(GraphError):
     pass
+
+
+def _components(nv, edges):
+    """Union-find root of each of the nv vertices under the given edges."""
+    parent = list(range(nv))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    return [find(v) for v in range(nv)]
 
 
 @dataclass(frozen=True)
@@ -93,19 +113,7 @@ class StableGraph:
         return h[v] + self.tail_counts()[v]
 
     def is_connected(self):
-        nv = self.num_vertices
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            parent[find(u)] = find(v)
-        root = find(0)
-        return all(find(v) == root for v in range(nv))
+        return len(set(_components(self.num_vertices, self.edges))) == 1
 
     def genus(self):
         """Total genus: sum of weights plus the first Betti number."""
@@ -140,18 +148,7 @@ class StableGraph:
             if not 0 <= e < self.num_edges:
                 raise GraphError("edge id %r not in graph" % (e,))
         nv = self.num_vertices
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in D:
-            u, v = self.edges[e]
-            parent[find(u)] = find(v)
-        comp_of = [find(v) for v in range(nv)]
+        comp_of = _components(nv, [self.edges[e] for e in D])
         roots = sorted(set(comp_of), key=lambda r: min(
             v for v in range(nv) if comp_of[v] == r))
         new_id = {r: i for i, r in enumerate(roots)}
@@ -304,14 +301,6 @@ class AutomorphismGroup:
     def order(self):
         return len(self.elements)
 
-    @property
-    def generators(self):
-        # The full element list; small groups only at desk scale.
-        return self.elements
-
-    def edge_perms(self):
-        return sorted({a.edge_perm() for a in self.elements})
-
 
 def automorphism_group(graph):
     """All automorphisms, by brute force over compatible vertex orderings."""
@@ -381,90 +370,85 @@ def automorphism_group(graph):
     return AutomorphismGroup(tuple(elements))
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _degenerations(graph):
+    """Every one-edge degeneration of graph, as stable graphs.
+
+    At each vertex v: add a loop and lower the weight by one, or split v
+    into v and a new vertex joined by a new edge, distributing the weight
+    and every half-edge and tail at v over the two sides so that both stay
+    stable.  Contracting the new edge gives back graph.
+    """
+    genera, edges, tails = graph.genera, graph.edges, graph.tails
+    nv = len(genera)
+    for v, gv in enumerate(genera):
+        if gv:
+            yield StableGraph(genera[:v] + (gv - 1,) + genera[v + 1:],
+                              edges + ((v, v),), tails)
+        halves = [(e, h) for e, ends in enumerate(edges)
+                  for h in (0, 1) if ends[h] == v]
+        at_v = [k for k, t in enumerate(tails) if t == v]
+        m = len(halves) + len(at_v)
+        for sides in itertools.product((0, 1), repeat=m):
+            moved = sum(sides)
+            for g1 in range(gv + 1):
+                if 2 * (gv - g1) + m - moved < 2 or 2 * g1 + moved < 2:
+                    continue
+                new_edges = [list(ends) for ends in edges]
+                for (e, h), side in zip(halves, sides):
+                    if side:
+                        new_edges[e][h] = nv
+                new_tails = list(tails)
+                for k, side in zip(at_v, sides[len(halves):]):
+                    if side:
+                        new_tails[k] = nv
+                yield StableGraph(
+                    genera[:v] + (gv - g1,) + genera[v + 1:] + (g1,),
+                    tuple(map(tuple, new_edges)) + ((v, nv),),
+                    tuple(new_tails))
 
 
-def _label_splits(labels, sizes):
-    if not sizes:
-        yield ()
-        return
-    for subset in itertools.combinations(labels, sizes[0]):
-        remaining = [x for x in labels if x not in subset]
-        for rest in _label_splits(remaining, sizes[1:]):
-            yield (subset,) + rest
+def _degeneration_pass(g, n):
+    """Classes of type (g, n) and their covers, by repeated degeneration.
 
-
-def _tail_assignments(n, nv, required, free):
-    """Tail tuples (label k+1 at tails[k]) with per-vertex minimum counts."""
-    base = sum(required)
-    for extra in _compositions(n - base, nv):
-        sizes = [required[v] + extra[v] for v in range(nv)]
-        for split in _label_splits(tuple(range(1, n + 1)), sizes):
-            tails = [0] * n
-            for v, labels in enumerate(split):
-                for lab in labels:
-                    tails[lab - 1] = v
-            yield tuple(tails)
-    if free:
-        return
-
-
-def _connected(nv, edges):
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    root = find(0)
-    return all(find(v) == root for v in range(nv))
+    Returns the classes sorted by key, the cover pairs (child, parent) as
+    indices into that order, and the levels: ``levels[k]`` lists the sorted
+    indices of the classes with k edges.  Every cover is found, since if
+    C/e is isomorphic to P then C is a degeneration of P's representative.
+    """
+    if g < 0 or n < 0:
+        raise GraphError("g and n must be nonnegative")
+    if 2 * g - 2 + n <= 0:
+        raise StabilityError("no stable graphs for 2g-2+n <= 0")
+    root = StableGraph((g,), (), (0,) * n).canonical_form()
+    found = {root.key: root}
+    levels = [[root.key]]
+    cover_keys = set()
+    while levels[-1]:
+        fresh = []
+        for parent in levels[-1]:
+            for child in _degenerations(found[parent].graph):
+                gc = child.canonical_form()
+                if gc.key not in found:
+                    found[gc.key] = gc
+                    fresh.append(gc.key)
+                cover_keys.add((gc.key, parent))
+        levels.append(fresh)
+    levels.pop()
+    elements = tuple(sorted(found.values(), key=lambda c: c.key))
+    index = {c.key: i for i, c in enumerate(elements)}
+    covers = {(index[a], index[b]) for a, b in cover_keys}
+    levels = [sorted(index[k] for k in level) for level in levels]
+    return elements, covers, levels
 
 
 def enumerate_stable_graphs(g, n):
     """All isomorphism classes of stable graphs of type (g, n), sorted.
 
-    Generates weight/valence data satisfying stability, matches half-edges
-    into connected multigraphs, then canonicalizes and deduplicates.
+    Enumerates by degeneration from the one-vertex graph: every class is
+    reached from a class with one edge fewer by adding a loop or splitting
+    a vertex, and each candidate is canonicalized and deduplicated.
     """
-    if 2 * g - 2 + n <= 0:
-        raise StabilityError("no stable graphs for 2g-2+n <= 0")
-    found = {}
-    max_v = max(1, 2 * g - 2 + n)
-    max_e = 3 * g - 3 + n
-    for nv in range(1, max_v + 1):
-        pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
-        for ne in range(nv - 1, max_e + 1):
-            b1 = ne - nv + 1
-            gsum = g - b1
-            if gsum < 0:
-                continue
-            for genera in _compositions(gsum, nv):
-                for combo in itertools.combinations_with_replacement(pairs, ne):
-                    if not _connected(nv, combo):
-                        continue
-                    h = [0] * nv
-                    for u, v in combo:
-                        h[u] += 1
-                        h[v] += 1
-                    required = [max(0, 3 - 2 * genera[v] - h[v])
-                                for v in range(nv)]
-                    if sum(required) > n:
-                        continue
-                    for tails in _tail_assignments(n, nv, required, False):
-                        graph = StableGraph(genera, combo, tails)
-                        gc = graph.canonical_form()
-                        found.setdefault(gc.key, gc)
-    return tuple(sorted(found.values(), key=lambda c: c.key))
+    return _degeneration_pass(g, n)[0]
 
 
 @dataclass(frozen=True)
@@ -474,7 +458,8 @@ class StrataPoset:
     ``a ≺ b`` (strictly smaller, i.e. more edges) is stored as the index
     pair ``(a, b)`` in ``order``; ``covers`` holds the one-edge-contraction
     pairs.  ``layers[k]`` is the k-th batch of the layered construction:
-    the minimal elements of what remains after removing earlier layers.
+    the minimal elements of what remains after removing earlier layers,
+    which are the classes with k edges fewer than the most degenerate ones.
     """
 
     signature: tuple
@@ -510,13 +495,7 @@ class StrataPoset:
 
 
 def build_poset(g, n):
-    elements = enumerate_stable_graphs(g, n)
-    index = {c.key: i for i, c in enumerate(elements)}
-    covers = set()
-    for i, c in enumerate(elements):
-        for e in range(c.graph.num_edges):
-            parent_key = c.graph.contract({e}).canonical_form().key
-            covers.add((i, index[parent_key]))
+    elements, covers, levels = _degeneration_pass(g, n)
     # strict order: transitive closure of covers
     above = {i: set() for i in range(len(elements))}
     for a, b in covers:
@@ -532,24 +511,11 @@ def build_poset(g, n):
             seen.add(b)
             order.add((a, b))
             stack.extend(above[b])
-    maximal = [i for i in range(len(elements))
-               if not any((i, b) in order for b in range(len(elements)))]
-    if len(maximal) != 1:
-        raise GraphError("poset must have a unique top element")
-    top = maximal[0]
-    remaining = set(range(len(elements)))
-    layers = []
-    while remaining:
-        layer = tuple(sorted(
-            i for i in remaining
-            if not any((j, i) in order for j in remaining)))
-        layers.append(layer)
-        remaining -= set(layer)
     return StrataPoset(
         signature=(g, n),
         elements=elements,
         covers=frozenset(covers),
         order=frozenset(order),
-        layers=tuple(layers),
-        top=top,
+        layers=tuple(tuple(level) for level in reversed(levels)),
+        top=levels[0][0],
     )

@@ -191,6 +191,8 @@ def test_criterion_7_dm_layer():
             assert entry["functoriality"], entry["graph"]
             assert entry["equivariance"], entry["graph"]
             assert entry["atlas_compatible"], entry["graph"]
+            assert entry["atlas_separated"], entry["graph"]
+            assert entry["atlas_covers"], entry["graph"]
     report(7, "edge stratifications verify and feed all-compatible "
               "atlases for every class with 3g-3+n <= 4")
 

@@ -36,6 +36,16 @@ class TestGraphs:
         assert first[1].startswith("digraph")
         assert "dim=" in first[1]
 
+    def test_negative_signature_rejected(self):
+        for argv in (["graphs", "enumerate", "-1", "5", "--count"],
+                     ["graphs", "enumerate", "2", "-1", "--count"],
+                     ["graphs", "poset", "-1", "5"],
+                     ["dm", "report", "2", "-1"]):
+            code, out, err = run(argv)
+            assert code == 1, argv
+            assert out == ""
+            assert "nonnegative" in err
+
     def test_poset_json(self):
         code, out, _ = run(["graphs", "poset", "1", "1", "--json"])
         assert code == 0

@@ -187,11 +187,22 @@ class TestEnumeration:
         with pytest.raises(StabilityError):
             enumerate_stable_graphs(0, 2)
 
-    @pytest.mark.parametrize("g,n", [(0, 4), (0, 5), (1, 1), (1, 2), (2, 0)])
+    @pytest.mark.parametrize("g,n", [(-1, 5), (2, -1), (-1, 0)])
+    def test_negative_signature_rejected(self, g, n):
+        with pytest.raises(GraphError):
+            enumerate_stable_graphs(g, n)
+        with pytest.raises(GraphError):
+            build_poset(g, n)
+
+    @pytest.mark.parametrize("g,n", [(0, 4), (0, 5), (1, 1), (1, 2), (2, 0),
+                                     (1, 3), (2, 1)])
     def test_matches_naive_generator(self, g, n):
-        ours = enumerate_stable_graphs(g, n)
+        ours = {gc.key for gc in enumerate_stable_graphs(g, n)}
         naive = oracles.naive_enumerate(g, n)
-        assert len(ours) == len(naive)
+        naive_keys = {StableGraph(r.genera, r.edges, r.tails)
+                      .canonical_form().key for r in naive}
+        assert len(naive_keys) == len(naive)
+        assert ours == naive_keys
 
     def test_closed_under_contraction(self):
         keys = {gc.key for gc in enumerate_stable_graphs(1, 2)}
@@ -242,8 +253,9 @@ class TestPoset:
                     if a != b:
                         assert (a, b) not in p.order
 
-    def test_order_matches_multi_edge_contraction(self):
-        p = build_poset(1, 2)
+    @pytest.mark.parametrize("g,n", [(1, 2), (0, 5), (2, 1), (3, 0)])
+    def test_order_matches_multi_edge_contraction(self, g, n):
+        p = build_poset(g, n)
         for i, c in enumerate(p.elements):
             g = c.graph
             reachable = set()
