@@ -15,6 +15,14 @@ sewed over the union of chart images, extended inward to the whole stratum,
 and every new radius is halved against the earlier ones.  The report
 certifies pairwise compatibility, the separation of images of incomparable
 strata, and that the chart images cover a sample grid.
+
+Separation and cover read one sweep of the grid per state of the radii.
+The grid is never stored: its points are walked as tuples of per-axis value
+indices.  Each chart image is compiled once, per axis and value index, into
+an int bitmask of the terms that accept that value, from the same exact
+Fraction tests point_in_image makes, so a point's chart images come from a
+few int ANDs, and a witness point is only built from its indices when it is
+recorded.
 """
 
 from __future__ import annotations
@@ -25,10 +33,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .fields import box_abs, from_real_parts, is_zero, real_axes, zero
-from .linear_strata import (LinearStratification, OrderError, indices_of,
-                            popcount)
-from .regions import (Region, axes_of, boundary_type, collar, full_box,
-                      region_contains, region_subset, split_nonzero,
+from .linear_strata import LinearStratification, OrderError, popcount
+from .regions import (Region, _piece_cells, axes_of, boundary_type, collar,
+                      full_box, region_contains, region_subset,
                       whole_stratum)
 
 EPS_FLOOR = Fraction(1, 2 ** 32)
@@ -361,26 +368,15 @@ def image_region(model, datum, b):
                         break
                 if usable and all(lo < hi for lo, hi in box):
                     boxes.append(tuple(box))
-    dedup = []
-    for box in boxes:
-        if box not in dedup:
-            dedup.append(box)
-    return Region(b, tuple(dedup))
+    return Region(b, tuple(dict.fromkeys(boxes)))
 
 
 def region_is_empty(model, region):
     """Whether the region meets its stratum at all, decided exactly."""
     strat = model.strat
-    from .regions import _piece_cell
-    for mask in strat.classes[region.cls]:
-        groups = [axes_of(model.field, i) for i in indices_of(mask)]
-        for box in region.boxes:
-            cell = _piece_cell(strat, model.field, mask, box)
-            if cell is None:
-                continue
-            if split_nonzero(cell, groups):
-                return False
-    return True
+    return not any(_piece_cells(strat, model.field, mask, box)
+                   for mask in strat.classes[region.cls]
+                   for box in region.boxes)
 
 
 def restrict(model, datum, region, epsilon):
@@ -603,41 +599,124 @@ def grid_density(num_axes):
     return 5
 
 
-def sample_grid(model, density=None):
-    """Rational grid on [-1, 1] per real axis, density points per axis."""
+def _grid_values(num_axes):
+    """Sorted sample values on [-1, 1], the same on every real axis."""
+    d = grid_density(num_axes)
+    return [Fraction(-1) + Fraction(2 * i, d - 1) for i in range(d)]
+
+
+def _grid_point(model, values, idx):
+    """The grid point whose real axis ax takes the value values[idx[ax]]."""
+    k = real_axes(model.field)
+    parts = [values[j] for j in idx]
+    return tuple(from_real_parts(model.field, tuple(parts[k * c:k * c + k]))
+                 for c in range(model.strat.m))
+
+
+def _image_sweep(model, data, values):
+    """Per grid point, the bitmask of the strata whose chart image holds it.
+
+    Yields (idx, hits) for the points of the grid values^num_axes in
+    lexicographic order of their per-axis value indices idx; bit a of hits
+    is set when the point lies in the chart image of data[a], exactly as
+    point_in_image decides it.  That predicate is a union of terms, one per
+    base support I of the stratum and box B of the region: the point's
+    support contains I, every axis of I lies inside B, B contains 0 on the
+    other axes, and there scale * |x| < epsilon.  (A support containing I
+    is in a class at or above the stratum, by the frontier condition, so
+    point_in_image's order test adds nothing.)  Each term is compiled, per
+    axis, into the value indices it accepts, stored as cols[ax][j], the
+    bitmask of the terms accepting value j on axis ax; the support condition
+    is a bitmask of terms per support.  A point's terms are then the AND of
+    a few ints, read off its indices, and its support follows from which
+    indices are the one of 0.
+    """
     strat = model.strat
-    num_axes = strat.m * real_axes(model.field)
-    d = density or grid_density(num_axes)
-    values = [Fraction(-1) + Fraction(2 * i, d - 1) for i in range(d)]
-    for combo in itertools.product(values, repeat=num_axes):
-        point = []
-        k = real_axes(model.field)
-        for coord in range(strat.m):
-            point.append(from_real_parts(
-                model.field, tuple(combo[k * coord:k * coord + k])))
-        yield tuple(point)
+    m = strat.m
+    k = real_axes(model.field)
+    num_axes = m * k
+    zero_at = values.index(0) if 0 in values else None
+    term_key = []
+    cols = [[0] * len(values) for _ in range(num_axes)]
+    by_support = [0] * (1 << m)
+    for key, datum in data.items():
+        a = datum.stratum
+        if datum.region.cls != a:
+            continue
+        fiber = [[j for j, x in enumerate(values)
+                  if datum.scales[c] * abs(x) < datum.epsilon]
+                 for c in range(m)]
+        for I in strat.classes[a]:
+            for box in datum.region.boxes:
+                rows = []
+                for ax, (lo, hi) in enumerate(box):
+                    if I & (1 << (ax // k)):
+                        rows.append([j for j, x in enumerate(values)
+                                     if lo < x < hi])
+                    elif lo < 0 < hi:
+                        rows.append(fiber[ax // k])
+                    else:
+                        break
+                else:
+                    bit = 1 << len(term_key)
+                    term_key.append(key)
+                    for col, row in zip(cols, rows):
+                        for j in row:
+                            col[j] |= bit
+                    for mask in range(1 << m):
+                        if I & mask == I:
+                            by_support[mask] |= bit
+    strata_of = {}
+    for idx in itertools.product(range(len(values)), repeat=num_axes):
+        mask = 0
+        for c in range(m):
+            if any(j != zero_at for j in idx[k * c:k * c + k]):
+                mask |= 1 << c
+        terms = by_support[mask]
+        for col, j in zip(cols, idx):
+            terms &= col[j]
+        hits = strata_of.get(terms)
+        if hits is None:
+            hits = 0
+            for t, key in enumerate(term_key):
+                if terms >> t & 1:
+                    hits |= 1 << key
+            strata_of[terms] = hits
+        yield idx, hits
 
 
-def _separation(model, data, grid):
-    """Images of incomparable strata may only meet inside lower images."""
+def _grid_checks(model, data):
+    """Separation and cover of the chart images on the sample grid.
+
+    Returns ((separation_ok, witnesses), (cover_ok, witnesses)) from one
+    sweep.  A point in the images of incomparable strata a and b but in no
+    image of a common lower stratum is a separation witness, once per such
+    pair; a point in no image is a cover witness.  Witnesses are grid
+    points, in grid order.
+    """
     strat = model.strat
-    pairs = [(a, b) for a in data for b in data
-             if a < b and not strat.leq(a, b) and not strat.leq(b, a)]
-    if not pairs:
-        return True, ()
-    witnesses = []
-    for v in grid:
-        for a, b in pairs:
-            if (point_in_image(model, data[a], v)
-                    and point_in_image(model, data[b], v)):
-                lower = set(strat.below(a)) & set(strat.below(b))
-                if not any(point_in_image(model, data[g], v)
-                           for g in lower if g in data):
-                    witnesses.append(v)
-    return not witnesses, tuple(witnesses)
+    pairs = []
+    for a in data:
+        for b in data:
+            if a < b and not strat.leq(a, b) and not strat.leq(b, a):
+                lower = 0
+                for g in set(strat.below(a)) & set(strat.below(b)):
+                    lower |= 1 << g
+                pairs.append(((1 << a) | (1 << b), lower))
+    values = _grid_values(strat.m * real_axes(model.field))
+    separation, cover = [], []
+    for idx, hits in _image_sweep(model, data, values):
+        if not hits:
+            cover.append(_grid_point(model, values, idx))
+        split = sum(1 for both, lower in pairs
+                    if hits & both == both and not hits & lower)
+        if split:
+            separation += [_grid_point(model, values, idx)] * split
+    return ((not separation, tuple(separation)),
+            (not cover, tuple(cover)))
 
 
-def build_atlas(model, grid=None):
+def build_atlas(model):
     """Run the layered induction and certify the resulting atlas.
 
     One pass per layer: the smallest strata receive canonical data; each
@@ -648,8 +727,6 @@ def build_atlas(model, grid=None):
     compatibility matrix and cover check are evaluated.
     """
     strat = model.strat
-    if grid is None:
-        grid = list(sample_grid(model))
     data = {}
     passes = 0
     for layer in model.layers:
@@ -682,21 +759,21 @@ def build_atlas(model, grid=None):
                 for g in below:
                     if data[g].epsilon > half:
                         data[g] = replace(data[g], epsilon=half)
-    sep_ok, sep_wit = _separation(model, data, grid)
+    (sep_ok, sep_wit), cover = _grid_checks(model, data)
     while not sep_ok:
         smallest = min(d.epsilon for d in data.values())
         if smallest / 2 < EPS_FLOOR:
             break
         data = {a: replace(d, epsilon=d.epsilon / 2)
                 for a, d in data.items()}
-        sep_ok, sep_wit = _separation(model, data, grid)
+        (sep_ok, sep_wit), cover = _grid_checks(model, data)
     compatible = {}
     for a in sorted(data):
         for b in sorted(data):
             if a < b:
                 compatible[(a, b)] = check_compatible(
                     model, data[a], data[b])
-    cover_ok, cover_wit = verify_cover(model, data, grid)
+    cover_ok, cover_wit = cover
     return AtlasReport(
         model=model,
         data=data,
@@ -709,12 +786,6 @@ def build_atlas(model, grid=None):
     )
 
 
-def verify_cover(model, data, grid=None):
+def verify_cover(model, data):
     """Every grid point must lie in some chart image."""
-    if grid is None:
-        grid = list(sample_grid(model))
-    witnesses = []
-    for v in grid:
-        if not any(point_in_image(model, d, v) for d in data.values()):
-            witnesses.append(v)
-    return not witnesses, tuple(witnesses)
+    return _grid_checks(model, data)[1]

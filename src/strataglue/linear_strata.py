@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .fields import COMPLEX, REAL, GaussianRational, is_zero
+from .fields import COMPLEX, REAL, is_zero
 
 
 class StratificationError(ValueError):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import real_axes, real_parts
+from .linear_strata import indices_of
 
 INF = float("inf")
 
@@ -49,16 +50,12 @@ class Region:
                           for (al, ah), (bl, bh) in zip(a, b))
                 if all(lo < hi for lo, hi in c):
                     boxes.append(c)
-        return Region(self.cls, tuple(boxes))
+        return Region(self.cls, tuple(dict.fromkeys(boxes)))
 
     def union(self, other):
         if self.cls != other.cls:
             raise RegionError("regions live over different strata")
-        seen = []
-        for b in self.boxes + other.boxes:
-            if b not in seen:
-                seen.append(b)
-        return Region(self.cls, tuple(seen))
+        return Region(self.cls, tuple(dict.fromkeys(self.boxes + other.boxes)))
 
     def to_json(self):
         def side(x):
@@ -84,48 +81,63 @@ def whole_stratum(strat, field, cls):
 # point (lo == hi).  Boxes are open products.  covered() decides whether the
 # whole cell sits inside the union of the boxes, splitting cells at box
 # corners; termination holds because splits only happen at the finitely many
-# corner values.
+# corner values.  It only ever compares two interval ends on one axis, so
+# _ranked() first replaces every end of the cells and boxes of one question
+# by its rank among all those ends on its axis: ranks keep <, <= and ==, the
+# answer is unchanged, and the splitting loop compares small ints instead of
+# Fractions and the float infinities.
 
-def _interval_contains(box_iv, cell_iv):
-    blo, bhi = box_iv
-    lo, hi = cell_iv
-    if lo == hi:
-        return blo < lo < bhi
-    return blo <= lo and hi <= bhi
+def _ranked(cells, boxes):
+    """Cells and boxes with each interval end replaced by its rank on its axis.
 
+    Boxes that are empty on some axis meet no cell and are dropped.
+    """
+    if not cells:
+        return [], []
+    ranks = []
+    for ax in range(len(cells[0])):
+        ends = {x for c in cells for x in c[ax]}
+        ends.update(x for b in boxes for x in b[ax])
+        ranks.append({x: i for i, x in enumerate(sorted(ends))})
 
-def _interval_overlaps(box_iv, cell_iv):
-    blo, bhi = box_iv
-    lo, hi = cell_iv
-    if lo == hi:
-        return blo < lo < bhi
-    return max(blo, lo) < min(bhi, hi)
+    def rank(c):
+        return tuple((r[lo], r[hi]) for r, (lo, hi) in zip(ranks, c))
+
+    return ([rank(c) for c in cells],
+            [rank(b) for b in boxes if all(lo < hi for lo, hi in b)])
 
 
 def covered(cell, boxes):
-    stack = [tuple(cell)]
+    """Whether the ranked cell lies inside the union of the ranked boxes."""
+    stack = [cell]
     while stack:
         c = stack.pop()
-        hit = None
         for b in boxes:
-            if all(_interval_overlaps(bi, ci) for bi, ci in zip(b, c)):
-                hit = b
+            for (blo, bhi), (lo, hi) in zip(b, c):
+                if not (blo < lo < bhi if lo == hi else blo < hi and lo < bhi):
+                    break
+            else:
                 break
-        if hit is None:
+        else:
             return False
-        for ax, (bi, ci) in enumerate(zip(hit, c)):
-            if _interval_contains(bi, ci):
+        # b meets c: split c at the first axis where b does not contain it
+        for ax, ((blo, bhi), (lo, hi)) in enumerate(zip(b, c)):
+            if lo == hi or (blo <= lo and hi <= bhi):
                 continue
-            lo, hi = ci
-            cuts = sorted({x for x in bi if lo < x < hi})
+            cuts = [x for x in (blo, bhi) if lo < x < hi]
             pts = [lo] + cuts + [hi]
-            pieces = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-            pieces += [(x, x) for x in cuts]
-            for p in pieces:
-                stack.append(c[:ax] + (p,) + c[ax + 1:])
+            for i in range(len(pts) - 1):
+                stack.append(c[:ax] + ((pts[i], pts[i + 1]),) + c[ax + 1:])
+            for x in cuts:
+                stack.append(c[:ax] + ((x, x),) + c[ax + 1:])
             break
-        # no break: every axis contained, cell covered by hit
+        # no break: every axis contained, cell covered by b
     return True
+
+
+def _all_covered(cells, boxes):
+    cells, boxes = _ranked(cells, boxes)
+    return all(covered(c, boxes) for c in cells)
 
 
 def split_nonzero(cell, axis_groups):
@@ -191,34 +203,30 @@ def region_contains(strat, field, region, point):
                for box in region.boxes)
 
 
-def _piece_cell(strat, field, mask, base_box):
-    """Turn a box into a cell on the support piece V^[I] (off-I axes at 0)."""
-    cell = list(base_box)
+def _piece_cells(strat, field, mask, box):
+    """Cells of a box on the support piece V^[I] of the mask I.
+
+    The axes off I are pinned at 0, so a box missing 0 there gives no cells;
+    the coordinates in I are kept nonzero by split_nonzero.
+    """
+    cell = list(box)
     for coord in range(1, strat.m + 1):
         if not mask & (1 << (coord - 1)):
             for a in axes_of(field, coord):
                 lo, hi = cell[a]
                 if not (lo < 0 < hi or lo == hi == 0):
-                    return None
+                    return []
                 cell[a] = (Fraction(0), Fraction(0))
-    return tuple(cell)
+    return split_nonzero(cell, [axes_of(field, i) for i in indices_of(mask)])
 
 
 def region_subset(strat, field, inner, outer):
     """Whether inner-intersect-stratum sits inside outer-intersect-stratum."""
     if inner.cls != outer.cls:
         raise RegionError("regions live over different strata")
-    from .linear_strata import indices_of
-    for mask in strat.classes[inner.cls]:
-        groups = [axes_of(field, i) for i in indices_of(mask)]
-        for box in inner.boxes:
-            cell = _piece_cell(strat, field, mask, box)
-            if cell is None:
-                continue
-            for sub in split_nonzero(cell, groups):
-                if not covered(sub, outer.boxes):
-                    return False
-    return True
+    cells = [c for mask in strat.classes[inner.cls] for box in inner.boxes
+             for c in _piece_cells(strat, field, mask, box)]
+    return _all_covered(cells, outer.boxes)
 
 
 def _strip_radius(boxes, axes):
@@ -245,23 +253,20 @@ def boundary_type(strat, field, region):
 
 
 def _collar_data(strat, field, region):
-    from .linear_strata import indices_of
     num_axes = strat.m * real_axes(field)
+    cells = []
     strips = []
     for mask in strat.classes[region.cls]:
-        support = indices_of(mask)
-        groups = [axes_of(field, i) for i in support]
-        for i in support:
+        for i in indices_of(mask):
             axes = axes_of(field, i)
             r = _strip_radius(region.boxes, axes)
-            cell = list(full_box(num_axes))
+            strip = list(full_box(num_axes))
             for a in axes:
-                cell[a] = (-r, r)
-            cell = _piece_cell(strat, field, mask, tuple(cell))
-            for sub in split_nonzero(cell, groups):
-                if not covered(sub, region.boxes):
-                    return False, None
+                strip[a] = (-r, r)
+            cells += _piece_cells(strat, field, mask, strip)
             strips.append((i, r))
+    if not _all_covered(cells, region.boxes):
+        return False, None
     return True, strips
 
 
@@ -290,8 +295,4 @@ def collar(strat, field, region):
                         for (sl, sh), (bl, bh) in zip(strip, box))
             if all(lo < hi for lo, hi in cut):
                 boxes.append(cut)
-    dedup = []
-    for b in boxes:
-        if b not in dedup:
-            dedup.append(b)
-    return Region(region.cls, tuple(dedup)), radius
+    return Region(region.cls, tuple(dict.fromkeys(boxes))), radius

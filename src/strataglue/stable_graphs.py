@@ -376,7 +376,10 @@ def _degenerations(graph):
     At each vertex v: add a loop and lower the weight by one, or split v
     into v and a new vertex joined by a new edge, distributing the weight
     and every half-edge and tail at v over the two sides so that both stay
-    stable.  Contracting the new edge gives back graph.
+    stable.  Contracting the new edge gives back graph.  Swapping the two
+    sides of a split gives an isomorphic graph, so each split is yielded
+    once: the first half-edge or tail at v stays at v, and when v has none
+    the new vertex takes at most half the weight.
     """
     genera, edges, tails = graph.genera, graph.edges, graph.tails
     nv = len(genera)
@@ -389,8 +392,10 @@ def _degenerations(graph):
         at_v = [k for k, t in enumerate(tails) if t == v]
         m = len(halves) + len(at_v)
         for sides in itertools.product((0, 1), repeat=m):
+            if sides and sides[0]:
+                continue
             moved = sum(sides)
-            for g1 in range(gv + 1):
+            for g1 in range(gv + 1 if m else gv // 2 + 1):
                 if 2 * (gv - g1) + m - moved < 2 or 2 * g1 + moved < 2:
                     continue
                 new_edges = [list(ends) for ends in edges]

@@ -3,8 +3,9 @@
 Everything here is written against the definitions directly, sharing no code
 paths with the package: a naive stable-graph generator with explicit
 permutation-search isomorphism testing, a GF(2) cycle-space rank for the
-first Betti number, a pointwise normal-fiber stratifier on 0/1 grids, and a
-quadrature for hyperbolic horocycle lengths.
+first Betti number, a pointwise normal-fiber stratifier on 0/1 grids, a
+pointwise decision of covers by unions of open boxes, and a quadrature for
+hyperbolic horocycle lengths.
 """
 
 import itertools
@@ -243,6 +244,63 @@ def horocycle_length_quadrature(c, steps=20000):
     for k in range(1, steps):
         total += (4 if k % 2 else 2) * speed(k * h)
     return total * h / 3.0
+
+
+# ---------------------------------------------------------------------------
+# pointwise cover decision for unions of open boxes
+#
+# Intervals are pairs (lo, hi) of Fractions or +/- infinity floats.  Cut the
+# line of each axis at every finite interval end: membership in any of the
+# intervals is constant on each cut value and on each open piece between
+# consecutive cuts, so testing one point of every product of pieces decides
+# containment exactly.
+
+def _representatives(ends):
+    """One point of each piece of the line cut at the given ends."""
+    cuts = sorted({x for x in ends if abs(x) != math.inf})
+    if not cuts:
+        return [Fraction(0)]
+    mids = [(x + y) / 2 for x, y in zip(cuts, cuts[1:])]
+    return [cuts[0] - 1] + cuts + mids + [cuts[-1] + 1]
+
+
+def _in_open_box(box, point):
+    return all(lo < x < hi for (lo, hi), x in zip(box, point))
+
+
+def covered_pointwise(cell, boxes):
+    """Whether a cell lies in the union of open boxes.
+
+    Each interval of the cell is open (lo < hi) or a single point
+    (lo == hi)."""
+    reps = [_representatives([x for iv in [cell[ax]] + [b[ax] for b in boxes]
+                              for x in iv])
+            for ax in range(len(cell))]
+    for point in itertools.product(*reps):
+        in_cell = all(x == lo if lo == hi else lo < x < hi
+                      for (lo, hi), x in zip(cell, point))
+        if in_cell and not any(_in_open_box(b, point) for b in boxes):
+            return False
+    return True
+
+
+def subset_pointwise(supports, m, k, inner, outer):
+    """Whether the inner boxes lie in the outer ones on a stratum of K^m.
+
+    The stratum is the set of points whose support is one of the given
+    bitmasks; coordinate c owns the k real axes k*c .. k*c+k-1 and is
+    nonzero when one of them is.  0 is a cut on every axis, so the support
+    is constant on each piece too."""
+    reps = [_representatives([0] + [x for b in inner + outer for x in b[ax]])
+            for ax in range(m * k)]
+    for point in itertools.product(*reps):
+        support = sum(1 << c for c in range(m)
+                      if any(point[k * c:k * c + k]))
+        if (support in supports
+                and any(_in_open_box(b, point) for b in inner)
+                and not any(_in_open_box(b, point) for b in outer)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

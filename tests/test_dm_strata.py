@@ -1,7 +1,3 @@
-from fractions import Fraction
-
-import pytest
-
 from strataglue.dm_strata import (
     aut_equivariance,
     contraction_functoriality,

@@ -1,20 +1,24 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from strataglue.fields import REAL
+from strataglue.fields import COMPLEX, REAL, from_real_parts, real_axes
 from strataglue.linear_strata import (LinearStratification, OrderError,
-                                      chain_stratification,
-                                      enumerate_stratifications, mask_of)
+                                      chain_stratification, mask_of)
 from strataglue.gluing_engine import (
     EngineError,
+    _grid_checks,
+    _grid_values,
+    _image_sweep,
     build_atlas,
     check_compatible,
     coincide,
     evaluate,
     glue,
+    grid_density,
     image_region,
     induce,
     inward_extend,
@@ -31,18 +35,22 @@ from strataglue.gluing_engine import (
     verify_cover,
     words_equal,
 )
-from strataglue.regions import Region, full_box, whole_stratum
+from strataglue.regions import Region, whole_stratum
 
 
-def strat(m, classes):
+def strat(m, classes, field=REAL):
     return LinearStratification(
-        m, REAL, tuple(tuple(sorted(mask_of(I) for I in c)) for c in classes))
+        m, field, tuple(tuple(sorted(mask_of(I) for I in c))
+                        for c in classes))
 
 
 M1 = linear_model(strat(1, [[()], [(1,)]]))
 CHAIN2 = linear_model(strat(2, [[()], [(1,), (2,)], [(1, 2)]]))
 SEP2 = linear_model(strat(2, [[()], [(1,)], [(2,)], [(1, 2)]]))
 CHAIN3 = linear_model(chain_stratification(3))
+SEP2C = linear_model(strat(2, [[()], [(1,)], [(2,)], [(1, 2)]], COMPLEX))
+SEP3 = linear_model(strat(3, [[()], [(1,)], [(2,)], [(3,)],
+                              [(1, 2), (1, 3), (2, 3)], [(1, 2, 3)]]))
 
 
 class TestLinearModel:
@@ -379,3 +387,75 @@ class TestImages:
         tiny = Region(2, (((Fraction(1), Fraction(2)),
                            (Fraction(0), Fraction(0))),))
         assert region_is_empty(CHAIN2, tiny)
+
+
+def grid_points(model):
+    """The sample grid on [-1, 1], point by point in lexicographic order."""
+    k = real_axes(model.field)
+    num_axes = model.strat.m * k
+    d = grid_density(num_axes)
+    values = [Fraction(-1) + Fraction(2 * i, d - 1) for i in range(d)]
+    for combo in itertools.product(values, repeat=num_axes):
+        yield tuple(from_real_parts(model.field, combo[k * c:k * c + k])
+                    for c in range(model.strat.m))
+
+
+@pytest.fixture(scope="module", params=[(CHAIN2, None), (SEP2, None),
+                                        (SEP2C, None), (SEP3, "5")],
+                ids=["chain2", "sep2", "sep2-complex", "sep3-grid5"])
+def data_states(request):
+    """A model, the grid density to sweep it at (None: the default), and
+    data states: the built atlas; all radii reset to 1, so that images of
+    incomparable strata overlap; that without the bottom stratum, so that
+    the overlaps are not inside a lower image; and regions cut down to two
+    boxes, one of them away from 0 on every axis."""
+    model, density = request.param
+    built = build_atlas(model).data
+    wide = {a: replace(d, epsilon=Fraction(1)) for a, d in built.items()}
+    num_axes = model.strat.m * real_axes(model.field)
+    boxes = (((Fraction(-1, 2), Fraction(1, 2)),) * num_axes,
+             ((Fraction(1, 4), float("inf")),) * num_axes)
+    cut = {a: replace(d, region=Region(a, boxes)) for a, d in wide.items()}
+    return model, density, [built, wide,
+                            {a: d for a, d in wide.items() if a != 0}, cut]
+
+
+class TestGridSweep:
+    def test_hits_match_point_in_image(self, data_states, monkeypatch):
+        model, density, states = data_states
+        if density:
+            monkeypatch.setenv("STRATAGLUE_GRID", density)
+        values = _grid_values(model.strat.m * real_axes(model.field))
+        for data in states:
+            sweep = _image_sweep(model, data, values)
+            for v, (idx, hits) in zip(grid_points(model), sweep,
+                                      strict=True):
+                assert hits == sum(1 << a for a, d in data.items()
+                                   if point_in_image(model, d, v)), v
+
+    def test_witnesses_match_pointwise(self, data_states, monkeypatch):
+        model, density, states = data_states
+        if density:
+            monkeypatch.setenv("STRATAGLUE_GRID", density)
+        s = model.strat
+        split = 0
+        for data in states:
+            pairs = [(a, b) for a in data for b in data
+                     if a < b and not s.leq(a, b) and not s.leq(b, a)]
+            separation, cover = [], []
+            for v in grid_points(model):
+                inside = {a for a, d in data.items()
+                          if point_in_image(model, d, v)}
+                if not inside:
+                    cover.append(v)
+                for a, b in pairs:
+                    lower = set(s.below(a)) & set(s.below(b))
+                    if {a, b} <= inside and not inside & lower:
+                        separation.append(v)
+            assert _grid_checks(model, data) == (
+                (not separation, tuple(separation)),
+                (not cover, tuple(cover)))
+            assert verify_cover(model, data) == (not cover, tuple(cover))
+            split += len(separation)
+        # a chain has no incomparable strata; the other models must split
+        assert split or model is CHAIN2

@@ -1,4 +1,3 @@
-import cmath
 import math
 from fractions import Fraction
 
@@ -12,7 +11,6 @@ from strataglue.plumbing import (
     PlumbingFixture,
     blend,
     canonical_horocycle,
-    certified_delta,
     cusp_to_disk,
     excision_region,
     horocycle_length,

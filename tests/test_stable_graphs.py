@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from strataglue.stable_graphs import (
     ConnectivityError,
@@ -12,6 +12,7 @@ from strataglue.stable_graphs import (
     build_poset,
     enumerate_stable_graphs,
 )
+from strataglue.stable_graphs import _degenerations
 
 import oracles
 
@@ -203,6 +204,13 @@ class TestEnumeration:
                       .canonical_form().key for r in naive}
         assert len(naive_keys) == len(naive)
         assert ours == naive_keys
+
+    @pytest.mark.parametrize("g,n,count", [(0, 4, 3), (0, 5, 10),
+                                           (1, 2, 2), (2, 0, 2)])
+    def test_root_degenerations_once_per_split(self, g, n, count):
+        # a split and its side-swapped twin are one candidate, not two
+        root = G([g], [], [0] * n)
+        assert len(list(_degenerations(root))) == count
 
     def test_closed_under_contraction(self):
         keys = {gc.key for gc in enumerate_stable_graphs(1, 2)}
