@@ -13,8 +13,6 @@ from fractions import Fraction
 REAL = "R"
 COMPLEX = "C"
 
-FIELDS = (REAL, COMPLEX)
-
 
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts."""

@@ -14,29 +14,27 @@ smallest strata, then for each later stratum the data induced from below are
 sewed over the union of chart images, extended inward to the whole stratum,
 and every new radius is halved against the earlier ones.  The report
 certifies pairwise compatibility, the separation of images of incomparable
-strata, and that the chart images cover a sample grid.
+strata, and that the chart images cover the whole space.
 
-Separation and cover read one sweep of the grid per state of the radii.
-The grid is never stored: its points are walked as tuples of per-axis value
-indices.  Each chart image is compiled once, per axis and value index, into
-an int bitmask of the terms that accept that value, from the same exact
-Fraction tests point_in_image makes, so a point's chart images come from a
-few int ANDs, and a witness point is only built from its indices when it is
-recorded.
+Separation and cover are decided exactly, with the same box calculus as
+compatibility.  A chart image is a finite union of terms, each an open box
+on the points whose support contains a base support, so on each support
+piece both conditions are covers of cells by open boxes, which regions
+decides by coordinate compression over the box corners.  A failing check
+reports one point of an uncovered cell as its witness.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .fields import box_abs, from_real_parts, is_zero, real_axes, zero
 from .linear_strata import LinearStratification, OrderError, popcount
 from .regions import (Region, _piece_cells, axes_of, boundary_type, collar,
-                      full_box, region_contains, region_subset,
-                      whole_stratum)
+                      full_box, meet, region_contains, region_subset,
+                      uncovered_point, whole_stratum)
 
 EPS_FLOOR = Fraction(1, 2 ** 32)
 
@@ -588,132 +586,82 @@ class AtlasReport:
         }
 
 
-def grid_density(num_axes):
-    env = os.environ.get("STRATAGLUE_GRID")
-    if env:
-        return max(3, int(env))
-    if num_axes <= 3:
-        return 21
-    if num_axes <= 5:
-        return 7
-    return 5
+def _image_terms(model, datum):
+    """The chart image of the datum as terms (I, box), one per base support I
+    of its stratum and box B of its region.
 
-
-def _grid_values(num_axes):
-    """Sorted sample values on [-1, 1], the same on every real axis."""
-    d = grid_density(num_axes)
-    return [Fraction(-1) + Fraction(2 * i, d - 1) for i in range(d)]
-
-
-def _grid_point(model, values, idx):
-    """The grid point whose real axis ax takes the value values[idx[ax]]."""
-    k = real_axes(model.field)
-    parts = [values[j] for j in idx]
-    return tuple(from_real_parts(model.field, tuple(parts[k * c:k * c + k]))
-                 for c in range(model.strat.m))
-
-
-def _image_sweep(model, data, values):
-    """Per grid point, the bitmask of the strata whose chart image holds it.
-
-    Yields (idx, hits) for the points of the grid values^num_axes in
-    lexicographic order of their per-axis value indices idx; bit a of hits
-    is set when the point lies in the chart image of data[a], exactly as
-    point_in_image decides it.  That predicate is a union of terms, one per
-    base support I of the stratum and box B of the region: the point's
-    support contains I, every axis of I lies inside B, B contains 0 on the
-    other axes, and there scale * |x| < epsilon.  (A support containing I
-    is in a class at or above the stratum, by the frontier condition, so
-    point_in_image's order test adds nothing.)  Each term is compiled, per
-    axis, into the value indices it accepts, stored as cols[ax][j], the
-    bitmask of the terms accepting value j on axis ax; the support condition
-    is a bitmask of terms per support.  A point's terms are then the AND of
-    a few ints, read off its indices, and its support follows from which
-    indices are the one of 0.
+    A term holds the points whose support contains I and that lie in the
+    open box: B on the axes of I, and on every other axis the fiber
+    (-epsilon/scale, epsilon/scale), where the term exists only when B holds
+    0.  The union of the terms is exactly point_in_image's predicate (a
+    support containing I is in a class at or above the stratum, by the
+    frontier condition).
     """
-    strat = model.strat
-    m = strat.m
     k = real_axes(model.field)
-    num_axes = m * k
-    zero_at = values.index(0) if 0 in values else None
-    term_key = []
-    cols = [[0] * len(values) for _ in range(num_axes)]
-    by_support = [0] * (1 << m)
-    for key, datum in data.items():
-        a = datum.stratum
-        if datum.region.cls != a:
-            continue
-        fiber = [[j for j, x in enumerate(values)
-                  if datum.scales[c] * abs(x) < datum.epsilon]
-                 for c in range(m)]
-        for I in strat.classes[a]:
-            for box in datum.region.boxes:
-                rows = []
-                for ax, (lo, hi) in enumerate(box):
-                    if I & (1 << (ax // k)):
-                        rows.append([j for j, x in enumerate(values)
-                                     if lo < x < hi])
-                    elif lo < 0 < hi:
-                        rows.append(fiber[ax // k])
-                    else:
-                        break
+    terms = []
+    if datum.region.cls != datum.stratum:
+        return terms
+    for I in model.strat.classes[datum.stratum]:
+        for B in datum.region.boxes:
+            box = []
+            for ax, (lo, hi) in enumerate(B):
+                c = ax // k
+                if I >> c & 1:
+                    box.append((lo, hi))
+                elif lo < 0 < hi:
+                    e = datum.epsilon / datum.scales[c]
+                    box.append((-e, e))
                 else:
-                    bit = 1 << len(term_key)
-                    term_key.append(key)
-                    for col, row in zip(cols, rows):
-                        for j in row:
-                            col[j] |= bit
-                    for mask in range(1 << m):
-                        if I & mask == I:
-                            by_support[mask] |= bit
-    strata_of = {}
-    for idx in itertools.product(range(len(values)), repeat=num_axes):
-        mask = 0
-        for c in range(m):
-            if any(j != zero_at for j in idx[k * c:k * c + k]):
-                mask |= 1 << c
-        terms = by_support[mask]
-        for col, j in zip(cols, idx):
-            terms &= col[j]
-        hits = strata_of.get(terms)
-        if hits is None:
-            hits = 0
-            for t, key in enumerate(term_key):
-                if terms >> t & 1:
-                    hits |= 1 << key
-            strata_of[terms] = hits
-        yield idx, hits
+                    break
+            else:
+                terms.append((I, tuple(box)))
+    return terms
 
 
-def _grid_checks(model, data):
-    """Separation and cover of the chart images on the sample grid.
+def _exact_checks(model, data):
+    """Separation and cover of the chart images, decided on support pieces.
 
-    Returns ((separation_ok, witnesses), (cover_ok, witnesses)) from one
-    sweep.  A point in the images of incomparable strata a and b but in no
-    image of a common lower stratum is a separation witness, once per such
-    pair; a point in no image is a cover witness.  Witnesses are grid
-    points, in grid order.
+    On the piece V^[J] of the points with support J, a term (I, box) holds
+    the points of its box when I is inside J and none otherwise, so both
+    questions are covers of cells by open boxes.  Separation: for strata a,
+    b that are incomparable, the cells of the meet of every term of a with
+    every term of b on J must be covered by the terms of their common lower
+    strata.  Cover: the whole piece must be covered by all terms.  Returns
+    ((separation_ok, witnesses), (cover_ok, witnesses)); a witness is a
+    point of an uncovered cell, one per failing pair and piece and one per
+    uncovered piece, in pair-then-piece order.
     """
     strat = model.strat
-    pairs = []
-    for a in data:
-        for b in data:
-            if a < b and not strat.leq(a, b) and not strat.leq(b, a):
-                lower = 0
-                for g in set(strat.below(a)) & set(strat.below(b)):
-                    lower |= 1 << g
-                pairs.append(((1 << a) | (1 << b), lower))
-    values = _grid_values(strat.m * real_axes(model.field))
-    separation, cover = [], []
-    for idx, hits in _image_sweep(model, data, values):
-        if not hits:
-            cover.append(_grid_point(model, values, idx))
-        split = sum(1 for both, lower in pairs
-                    if hits & both == both and not hits & lower)
-        if split:
-            separation += [_grid_point(model, values, idx)] * split
-    return ((not separation, tuple(separation)),
-            (not cover, tuple(cover)))
+    field = model.field
+    k = real_axes(field)
+    pieces = range(1 << strat.m)
+    terms = {a: _image_terms(model, d) for a, d in data.items()}
+
+    def on(J, strata):
+        return [box for g in strata for I, box in terms[g] if I & J == I]
+
+    def witness(cells, boxes):
+        point = uncovered_point(cells, boxes)
+        if point is not None:
+            return tuple(from_real_parts(field, point[k * c:k * c + k])
+                         for c in range(strat.m))
+        return None
+
+    separation = []
+    for a, b in itertools.combinations(sorted(data), 2):
+        if strat.leq(a, b) or strat.leq(b, a):
+            continue
+        lower = [g for g in data if strat.leq(g, a) and strat.leq(g, b)]
+        for J in pieces:
+            cells = [c for B1 in on(J, (a,)) for B2 in on(J, (b,))
+                     for c in _piece_cells(strat, field, J, meet(B1, B2))]
+            separation.append(witness(cells, on(J, lower)))
+    full = full_box(strat.m * k)
+    cover = [witness(_piece_cells(strat, field, J, full), on(J, data))
+             for J in pieces]
+    separation = tuple(w for w in separation if w is not None)
+    cover = tuple(w for w in cover if w is not None)
+    return (not separation, separation), (not cover, cover)
 
 
 def build_atlas(model):
@@ -759,14 +707,14 @@ def build_atlas(model):
                 for g in below:
                     if data[g].epsilon > half:
                         data[g] = replace(data[g], epsilon=half)
-    (sep_ok, sep_wit), cover = _grid_checks(model, data)
+    (sep_ok, sep_wit), cover = _exact_checks(model, data)
     while not sep_ok:
         smallest = min(d.epsilon for d in data.values())
         if smallest / 2 < EPS_FLOOR:
             break
         data = {a: replace(d, epsilon=d.epsilon / 2)
                 for a, d in data.items()}
-        (sep_ok, sep_wit), cover = _grid_checks(model, data)
+        (sep_ok, sep_wit), cover = _exact_checks(model, data)
     compatible = {}
     for a in sorted(data):
         for b in sorted(data):
@@ -787,5 +735,5 @@ def build_atlas(model):
 
 
 def verify_cover(model, data):
-    """Every grid point must lie in some chart image."""
-    return _grid_checks(model, data)[1]
+    """Every point must lie in some chart image: (ok, witnesses)."""
+    return _exact_checks(model, data)[1]

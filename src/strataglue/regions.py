@@ -27,6 +27,12 @@ def full_box(num_axes):
     return tuple((-INF, INF) for _ in range(num_axes))
 
 
+def meet(a, b):
+    """The intersection of two open boxes (some side may come out empty)."""
+    return tuple((max(al, bl), min(ah, bh))
+                 for (al, ah), (bl, bh) in zip(a, b))
+
+
 def axes_of(field, coord):
     """Real axis indices of the 1-based field coordinate."""
     k = real_axes(field)
@@ -43,14 +49,9 @@ class Region:
     def intersect(self, other):
         if self.cls != other.cls:
             raise RegionError("regions live over different strata")
-        boxes = []
-        for a in self.boxes:
-            for b in other.boxes:
-                c = tuple((max(al, bl), min(ah, bh))
-                          for (al, ah), (bl, bh) in zip(a, b))
-                if all(lo < hi for lo, hi in c):
-                    boxes.append(c)
-        return Region(self.cls, tuple(dict.fromkeys(boxes)))
+        boxes = [meet(a, b) for a in self.boxes for b in other.boxes]
+        return Region(self.cls, tuple(dict.fromkeys(
+            c for c in boxes if all(lo < hi for lo, hi in c))))
 
     def union(self, other):
         if self.cls != other.cls:
@@ -85,30 +86,37 @@ def whole_stratum(strat, field, cls):
 # _ranked() first replaces every end of the cells and boxes of one question
 # by its rank among all those ends on its axis: ranks keep <, <= and ==, the
 # answer is unchanged, and the splitting loop compares small ints instead of
-# Fractions and the float infinities.
+# Fractions and the float infinities.  A sub-cell that no box meets is
+# mapped back to values through the sorted ends and gives a witness point.
 
 def _ranked(cells, boxes):
     """Cells and boxes with each interval end replaced by its rank on its axis.
 
-    Boxes that are empty on some axis meet no cell and are dropped.
+    Also returns each axis's sorted ends, so rank r on axis ax stands for
+    ends[ax][r].  Boxes that are empty on some axis meet no cell and are
+    dropped.
     """
     if not cells:
-        return [], []
+        return [], [], []
+    ends = []
     ranks = []
     for ax in range(len(cells[0])):
-        ends = {x for c in cells for x in c[ax]}
-        ends.update(x for b in boxes for x in b[ax])
-        ranks.append({x: i for i, x in enumerate(sorted(ends))})
+        axis_ends = {x for c in cells for x in c[ax]}
+        axis_ends.update(x for b in boxes for x in b[ax])
+        ends.append(sorted(axis_ends))
+        ranks.append({x: i for i, x in enumerate(ends[-1])})
 
     def rank(c):
         return tuple((r[lo], r[hi]) for r, (lo, hi) in zip(ranks, c))
 
     return ([rank(c) for c in cells],
-            [rank(b) for b in boxes if all(lo < hi for lo, hi in b)])
+            [rank(b) for b in boxes if all(lo < hi for lo, hi in b)],
+            ends)
 
 
 def covered(cell, boxes):
-    """Whether the ranked cell lies inside the union of the ranked boxes."""
+    """A ranked sub-cell of the cell that meets none of the ranked boxes, or
+    None when the cell lies inside their union."""
     stack = [cell]
     while stack:
         c = stack.pop()
@@ -119,7 +127,7 @@ def covered(cell, boxes):
             else:
                 break
         else:
-            return False
+            return c
         # b meets c: split c at the first axis where b does not contain it
         for ax, ((blo, bhi), (lo, hi)) in enumerate(zip(b, c)):
             if lo == hi or (blo <= lo and hi <= bhi):
@@ -132,16 +140,35 @@ def covered(cell, boxes):
                 stack.append(c[:ax] + ((x, x),) + c[ax + 1:])
             break
         # no break: every axis contained, cell covered by b
-    return True
+    return None
 
 
-def _all_covered(cells, boxes):
-    cells, boxes = _ranked(cells, boxes)
-    return all(covered(c, boxes) for c in cells)
+def _inside(lo, hi):
+    """One value of the point or open interval from lo to hi."""
+    if lo == hi:
+        return lo
+    if lo == -INF:
+        return Fraction(0) if hi == INF else hi - 1
+    return lo + 1 if hi == INF else (lo + hi) / 2
+
+
+def uncovered_point(cells, boxes):
+    """A point of the cells outside the union of the open boxes, or None.
+
+    The point is given by its real coordinates, one per axis.
+    """
+    cells, boxes, ends = _ranked(cells, boxes)
+    for c in cells:
+        gap = covered(c, boxes)
+        if gap is not None:
+            return tuple(_inside(e[lo], e[hi])
+                         for e, (lo, hi) in zip(ends, gap))
+    return None
 
 
 def split_nonzero(cell, axis_groups):
-    """Refine a cell by the constraint that each field coordinate is nonzero.
+    """Refine an open cell by the constraint that each field coordinate is
+    nonzero.
 
     axis_groups lists, per constrained coordinate, its tuple of real axes.
     A real coordinate splits into the negative and positive parts; a complex
@@ -160,7 +187,7 @@ def split_nonzero(cell, axis_groups):
                 re_iv, im_iv = c[a0], c[a1]
                 for piece in _punctured(re_iv):
                     nxt.append(c[:a0] + (piece,) + c[a0 + 1:])
-                if _has_zero(re_iv):
+                if re_iv[0] < 0 < re_iv[1]:
                     mid = c[:a0] + ((Fraction(0), Fraction(0)),) + c[a0 + 1:]
                     for piece in _punctured(im_iv):
                         nxt.append(mid[:a1] + (piece,) + mid[a1 + 1:])
@@ -168,24 +195,15 @@ def split_nonzero(cell, axis_groups):
     return cells
 
 
-def _has_zero(iv):
-    lo, hi = iv
-    if lo == hi:
-        return lo == 0
-    return lo < 0 < hi
-
-
 def _punctured(iv):
-    """Nonzero open/point pieces of an interval."""
+    """The nonzero open pieces of an open interval."""
     lo, hi = iv
-    if lo == hi:
-        return [] if lo == 0 else [iv]
     out = []
     if lo < 0:
         out.append((lo, min(hi, Fraction(0))))
     if hi > 0:
         out.append((max(lo, Fraction(0)), hi))
-    return [p for p in out if p[0] < p[1]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +224,18 @@ def region_contains(strat, field, region, point):
 def _piece_cells(strat, field, mask, box):
     """Cells of a box on the support piece V^[I] of the mask I.
 
-    The axes off I are pinned at 0, so a box missing 0 there gives no cells;
-    the coordinates in I are kept nonzero by split_nonzero.
+    The box is open, so a side with lo >= hi leaves it empty.  The axes off
+    I are pinned at 0, so a box missing 0 there gives no cells; the
+    coordinates in I are kept nonzero by split_nonzero.
     """
+    if any(lo >= hi for lo, hi in box):
+        return []
     cell = list(box)
     for coord in range(1, strat.m + 1):
         if not mask & (1 << (coord - 1)):
             for a in axes_of(field, coord):
                 lo, hi = cell[a]
-                if not (lo < 0 < hi or lo == hi == 0):
+                if not lo < 0 < hi:
                     return []
                 cell[a] = (Fraction(0), Fraction(0))
     return split_nonzero(cell, [axes_of(field, i) for i in indices_of(mask)])
@@ -226,7 +247,7 @@ def region_subset(strat, field, inner, outer):
         raise RegionError("regions live over different strata")
     cells = [c for mask in strat.classes[inner.cls] for box in inner.boxes
              for c in _piece_cells(strat, field, mask, box)]
-    return _all_covered(cells, outer.boxes)
+    return uncovered_point(cells, outer.boxes) is None
 
 
 def _strip_radius(boxes, axes):
@@ -265,7 +286,7 @@ def _collar_data(strat, field, region):
                 strip[a] = (-r, r)
             cells += _piece_cells(strat, field, mask, strip)
             strips.append((i, r))
-    if not _all_covered(cells, region.boxes):
+    if uncovered_point(cells, region.boxes) is not None:
         return False, None
     return True, strips
 
@@ -291,8 +312,7 @@ def collar(strat, field, region):
         for a in axes_of(field, i):
             strip[a] = (-r, r)
         for box in region.boxes:
-            cut = tuple((max(sl, bl), min(sh, bh))
-                        for (sl, sh), (bl, bh) in zip(strip, box))
+            cut = meet(strip, box)
             if all(lo < hi for lo, hi in cut):
                 boxes.append(cut)
     return Region(region.cls, tuple(dict.fromkeys(boxes))), radius

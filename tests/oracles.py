@@ -4,8 +4,9 @@ Everything here is written against the definitions directly, sharing no code
 paths with the package: a naive stable-graph generator with explicit
 permutation-search isomorphism testing, a GF(2) cycle-space rank for the
 first Betti number, a pointwise normal-fiber stratifier on 0/1 grids, a
-pointwise decision of covers by unions of open boxes, and a quadrature for
-hyperbolic horocycle lengths.
+pointwise decision of covers by unions of open boxes (and of the separation
+and cover of chart images), and a quadrature for hyperbolic horocycle
+lengths.
 """
 
 import itertools
@@ -301,6 +302,38 @@ def subset_pointwise(supports, m, k, inner, outer):
                 and not any(_in_open_box(b, point) for b in outer)):
             return False
     return True
+
+
+def separation_cover_pointwise(num_axes, k, data, pairs, in_image):
+    """Separation and cover failures of chart images, found point by point.
+
+    data maps each stratum to its datum; only the ends of its region boxes
+    and its fiber radii epsilon/scale are read, as cut values on every axis,
+    together with 0.  Each chart image is a union of open boxes on the points
+    of a support at least a base support, so membership is constant on each
+    product of pieces of the cut lines, and one point per product decides
+    both conditions.  pairs maps each incomparable pair (a, b) to the set of
+    its common lower strata; in_image(a, point) is the membership of the
+    point, given by its real coordinates, in the image of data[a].  Returns
+    the sorted failing (pair, support) and the sorted uncovered supports.
+    """
+    ends = [[0] for _ in range(num_axes)]
+    for d in data.values():
+        for ax in range(num_axes):
+            e = d.epsilon / d.scales[ax // k]
+            ends[ax] += [x for box in d.region.boxes for x in box[ax]]
+            ends[ax] += [-e, e]
+    separation, cover = set(), set()
+    for point in itertools.product(*map(_representatives, ends)):
+        support = sum(1 << c for c in range(num_axes // k)
+                      if any(point[k * c:k * c + k]))
+        inside = {a for a in data if in_image(a, point)}
+        if not inside:
+            cover.add(support)
+        for (a, b), lower in pairs.items():
+            if {a, b} <= inside and not inside & lower:
+                separation.add(((a, b), support))
+    return sorted(separation), sorted(cover)
 
 
 # ---------------------------------------------------------------------------

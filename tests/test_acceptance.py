@@ -124,7 +124,7 @@ def test_criterion_4_atlas_construction():
             checked += 1
     assert checked == 15
     report(4, "all 15 m <= 3 models build certified atlases in K passes "
-              "with separation on the 21-point grid")
+              "with separation and cover decided exactly")
 
 
 def test_criterion_5_chart_identities():

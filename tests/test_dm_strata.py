@@ -66,49 +66,49 @@ class TestEdgeStratification:
 
 class TestDimensionMatching:
     def test_loop(self):
-        assert verify_dimension_matching(LOOP11)["ok"]
+        assert verify_dimension_matching(edge_stratification(LOOP11))["ok"]
 
     def test_0_5_one_edge(self):
         g = G([0, 0], [(0, 1)], [0, 0, 0, 1, 1]).canonical_form()
-        rep = verify_dimension_matching(g)
+        rep = verify_dimension_matching(edge_stratification(g))
         assert rep["ok"]
         assert g.graph.dimension() + 1 == 2
 
     def test_all_small_signatures(self):
         for g, n in [(0, 4), (0, 5), (1, 1), (1, 2), (2, 0)]:
             for gc in enumerate_stable_graphs(g, n):
-                assert verify_dimension_matching(gc)["ok"]
+                assert verify_dimension_matching(edge_stratification(gc))["ok"]
 
 
 class TestFunctoriality:
     def test_loop(self):
-        assert contraction_functoriality(LOOP11)["ok"]
+        assert contraction_functoriality(edge_stratification(LOOP11))["ok"]
 
     def test_exhaustive_small(self):
         for g, n in [(1, 2), (2, 0), (2, 1)]:
             for gc in enumerate_stable_graphs(g, n):
-                assert contraction_functoriality(gc)["ok"]
+                assert contraction_functoriality(edge_stratification(gc))["ok"]
 
 
 class TestEquivariance:
     def test_trivial_group(self):
-        rep = aut_equivariance(LOOP11)
+        rep = aut_equivariance(edge_stratification(LOOP11))
         assert rep["ok"]
 
     def test_loop_swap(self):
-        rep = aut_equivariance(TWOLOOP)
+        rep = aut_equivariance(edge_stratification(TWOLOOP))
         assert rep["ok"]
         assert rep["aut_order"] == 8
 
     def test_parallel_edges(self):
-        rep = aut_equivariance(PARALLEL)
+        rep = aut_equivariance(edge_stratification(PARALLEL))
         assert rep["ok"]
         assert rep["aut_order"] >= 2
 
     def test_all_small_signatures(self):
         for g, n in [(0, 5), (1, 2), (2, 0)]:
             for gc in enumerate_stable_graphs(g, n):
-                assert aut_equivariance(gc)["ok"]
+                assert aut_equivariance(edge_stratification(gc))["ok"]
 
 
 class TestReport:

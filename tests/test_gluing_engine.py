@@ -10,15 +10,13 @@ from strataglue.linear_strata import (LinearStratification, OrderError,
                                       chain_stratification, mask_of)
 from strataglue.gluing_engine import (
     EngineError,
-    _grid_checks,
-    _grid_values,
-    _image_sweep,
+    _exact_checks,
+    _image_terms,
     build_atlas,
     check_compatible,
     coincide,
     evaluate,
     glue,
-    grid_density,
     image_region,
     induce,
     inward_extend,
@@ -36,6 +34,8 @@ from strataglue.gluing_engine import (
     words_equal,
 )
 from strataglue.regions import Region, whole_stratum
+
+import oracles
 
 
 def strat(m, classes, field=REAL):
@@ -356,7 +356,18 @@ class TestBuildAtlas:
         ok, witnesses = verify_cover(CHAIN2, data)
         assert not ok
         origin = (Fraction(0), Fraction(0))
-        assert origin in witnesses
+        assert witnesses == (origin,)
+
+    def test_separation_fails_without_bottom_chart(self):
+        # the tubes around the two axes meet near the origin; without the
+        # chart of the origin nothing lower holds that overlap
+        rep = build_atlas(SEP2)
+        data = {a: d for a, d in rep.data.items() if a != 0}
+        (ok, witnesses), _ = _exact_checks(SEP2, data)
+        assert not ok and witnesses
+        for w in witnesses:
+            assert point_in_image(SEP2, data[1], w)
+            assert point_in_image(SEP2, data[2], w)
 
     def test_report_json_shape(self):
         rep = build_atlas(M1)
@@ -389,73 +400,84 @@ class TestImages:
         assert region_is_empty(CHAIN2, tiny)
 
 
-def grid_points(model):
-    """The sample grid on [-1, 1], point by point in lexicographic order."""
+def to_point(model, reals):
+    """The point of K^m with the given real coordinates."""
     k = real_axes(model.field)
-    num_axes = model.strat.m * k
-    d = grid_density(num_axes)
-    values = [Fraction(-1) + Fraction(2 * i, d - 1) for i in range(d)]
-    for combo in itertools.product(values, repeat=num_axes):
-        yield tuple(from_real_parts(model.field, combo[k * c:k * c + k])
-                    for c in range(model.strat.m))
+    return tuple(from_real_parts(model.field, reals[k * c:k * c + k])
+                 for c in range(model.strat.m))
 
 
-@pytest.fixture(scope="module", params=[(CHAIN2, None), (SEP2, None),
-                                        (SEP2C, None), (SEP3, "5")],
-                ids=["chain2", "sep2", "sep2-complex", "sep3-grid5"])
+def incomparable_pairs(strat, data):
+    """Each incomparable pair of strata of the data, with its lower strata."""
+    return {(a, b): set(strat.below(a)) & set(strat.below(b))
+            for a, b in itertools.combinations(sorted(data), 2)
+            if not strat.leq(a, b) and not strat.leq(b, a)}
+
+
+@pytest.fixture(scope="module", params=[CHAIN2, SEP2, SEP2C, SEP3],
+                ids=["chain2", "sep2", "sep2-complex", "sep3"])
 def data_states(request):
-    """A model, the grid density to sweep it at (None: the default), and
-    data states: the built atlas; all radii reset to 1, so that images of
-    incomparable strata overlap; that without the bottom stratum, so that
-    the overlaps are not inside a lower image; and regions cut down to two
-    boxes, one of them away from 0 on every axis."""
-    model, density = request.param
+    """A model and data states: the built atlas; all radii reset to 1, so
+    that images of incomparable strata overlap; that without the bottom
+    stratum, so that the overlaps are not inside a lower image; and regions
+    cut down to two boxes, one of them away from 0 on every axis."""
+    model = request.param
     built = build_atlas(model).data
     wide = {a: replace(d, epsilon=Fraction(1)) for a, d in built.items()}
     num_axes = model.strat.m * real_axes(model.field)
     boxes = (((Fraction(-1, 2), Fraction(1, 2)),) * num_axes,
              ((Fraction(1, 4), float("inf")),) * num_axes)
     cut = {a: replace(d, region=Region(a, boxes)) for a, d in wide.items()}
-    return model, density, [built, wide,
-                            {a: d for a, d in wide.items() if a != 0}, cut]
+    return model, [built, wide, {a: d for a, d in wide.items() if a != 0},
+                   cut]
 
 
-class TestGridSweep:
-    def test_hits_match_point_in_image(self, data_states, monkeypatch):
-        model, density, states = data_states
-        if density:
-            monkeypatch.setenv("STRATAGLUE_GRID", density)
-        values = _grid_values(model.strat.m * real_axes(model.field))
-        for data in states:
-            sweep = _image_sweep(model, data, values)
-            for v, (idx, hits) in zip(grid_points(model), sweep,
-                                      strict=True):
-                assert hits == sum(1 << a for a, d in data.items()
-                                   if point_in_image(model, d, v)), v
-
-    def test_witnesses_match_pointwise(self, data_states, monkeypatch):
-        model, density, states = data_states
-        if density:
-            monkeypatch.setenv("STRATAGLUE_GRID", density)
+class TestExactChecks:
+    def test_verdicts_match_pointwise_oracle(self, data_states):
+        model, states = data_states
         s = model.strat
+        k = real_axes(model.field)
         split = 0
         for data in states:
-            pairs = [(a, b) for a in data for b in data
-                     if a < b and not s.leq(a, b) and not s.leq(b, a)]
-            separation, cover = [], []
-            for v in grid_points(model):
-                inside = {a for a, d in data.items()
-                          if point_in_image(model, d, v)}
-                if not inside:
-                    cover.append(v)
-                for a, b in pairs:
-                    lower = set(s.below(a)) & set(s.below(b))
-                    if {a, b} <= inside and not inside & lower:
-                        separation.append(v)
-            assert _grid_checks(model, data) == (
-                (not separation, tuple(separation)),
-                (not cover, tuple(cover)))
-            assert verify_cover(model, data) == (not cover, tuple(cover))
+            terms = {a: _image_terms(model, d) for a, d in data.items()}
+
+            def in_image(a, reals):
+                # the compiled terms agree with point_in_image at every
+                # point the oracle visits
+                point = to_point(model, reals)
+                want = point_in_image(model, data[a], point)
+                support = s.stratum_of(point)[1]
+                assert want == any(
+                    I & support == I
+                    and all(lo < x < hi for (lo, hi), x in zip(box, reals))
+                    for I, box in terms[a]), (a, reals)
+                return want
+
+            separation, cover = oracles.separation_cover_pointwise(
+                s.m * k, k, data, incomparable_pairs(s, data), in_image)
+            (sep_ok, sep_wit), (cover_ok, cover_wit) = _exact_checks(
+                model, data)
+            assert sep_ok == (not separation)
+            assert cover_ok == (not cover)
+            # one witness per failing pair and piece, in that order
+            assert ([s.stratum_of(w)[1] for w in sep_wit]
+                    == [J for _, J in separation])
+            assert [s.stratum_of(w)[1] for w in cover_wit] == cover
+            assert verify_cover(model, data) == (cover_ok, cover_wit)
             split += len(separation)
         # a chain has no incomparable strata; the other models must split
         assert split or model is CHAIN2
+
+    def test_witnesses_fail_pointwise(self, data_states):
+        model, states = data_states
+        for data in states:
+            pairs = incomparable_pairs(model.strat, data)
+            (_, sep_wit), (_, cover_wit) = _exact_checks(model, data)
+            for w in sep_wit:
+                inside = {a for a, d in data.items()
+                          if point_in_image(model, d, w)}
+                assert any({a, b} <= inside and not inside & lower
+                           for (a, b), lower in pairs.items()), w
+            for w in cover_wit:
+                assert not any(point_in_image(model, d, w)
+                               for d in data.values()), w

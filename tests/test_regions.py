@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from strataglue.fields import COMPLEX, real_axes
-from strataglue.linear_strata import enumerate_stratifications
+from strataglue.fields import COMPLEX, REAL, real_axes
+from strataglue.gluing_engine import linear_model, region_is_empty
+from strataglue.linear_strata import (LinearStratification,
+                                      enumerate_stratifications)
 from strataglue.regions import (INF, Region, _ranked, covered,
-                                region_subset)
+                                region_contains, region_subset,
+                                uncovered_point)
 
 import oracles
 
@@ -23,12 +26,11 @@ def random_interval(rng, point_ok):
     return (lo, hi)
 
 
-def random_boxes(rng, num_axes, point_ok=True):
+def random_boxes(rng, num_axes):
     """Up to five boxes, sometimes with a duplicate.
 
-    With point_ok, a side may be a single point, which leaves the open box
-    empty."""
-    boxes = [tuple(random_interval(rng, point_ok and rng.random() < 0.1)
+    A side may be a single point, which leaves the open box empty."""
+    boxes = [tuple(random_interval(rng, rng.random() < 0.1)
                    for _ in range(num_axes))
              for _ in range(rng.randrange(6))]
     if boxes and rng.random() < 0.3:
@@ -44,10 +46,25 @@ def test_covered_matches_pointwise_oracle():
         cell = tuple(random_interval(rng, point_ok=True)
                      for _ in range(num_axes))
         boxes = random_boxes(rng, num_axes)
-        (ranked_cell,), ranked_boxes = _ranked([cell], boxes)
-        got = covered(ranked_cell, ranked_boxes)
-        assert got == oracles.covered_pointwise(cell, boxes), (cell, boxes)
-        outcomes.append(got)
+        (ranked_cell,), ranked_boxes, ends = _ranked([cell], boxes)
+        gap = covered(ranked_cell, ranked_boxes)
+        want = oracles.covered_pointwise(cell, boxes)
+        assert (gap is None) == want, (cell, boxes)
+        if gap is not None:
+            # the returned sub-cell, read back as values, is inside the
+            # cell and not covered
+            sub = tuple((e[lo], e[hi]) for e, (lo, hi) in zip(ends, gap))
+            assert all(clo <= lo and hi <= chi
+                       for (clo, chi), (lo, hi) in zip(cell, sub)), sub
+            assert not oracles.covered_pointwise(sub, boxes), sub
+        point = uncovered_point([cell], boxes)
+        assert (point is None) == want, (cell, boxes)
+        if point is not None:
+            assert all(x == lo if lo == hi else lo < x < hi
+                       for (lo, hi), x in zip(cell, point)), point
+            assert not any(all(lo < x < hi for (lo, hi), x in zip(b, point))
+                           for b in boxes), point
+        outcomes.append(want)
     assert outcomes.count(True) > 40 and outcomes.count(False) > 40
 
 
@@ -64,9 +81,7 @@ def test_region_subset_matches_pointwise_oracle(index):
     outcomes = []
     for _ in range(30):
         cls = rng.randrange(strat.num_classes)
-        # inner sides stay open: the cell decomposition reads a point side
-        # of an inner box as a point, not as an empty interval
-        inner = Region(cls, tuple(random_boxes(rng, num_axes, False)))
+        inner = Region(cls, tuple(random_boxes(rng, num_axes)))
         outer = Region(cls, tuple(random_boxes(rng, num_axes)))
         if rng.random() < 0.3:
             outer = inner.union(outer)
@@ -82,7 +97,21 @@ def test_ranks_keep_order_on_each_axis():
     cell = ((Fraction(0), Fraction(0)), (-INF, Fraction(1, 2)))
     boxes = [((Fraction(-1), Fraction(1)), (Fraction(1, 2), INF)),
              ((Fraction(2), Fraction(2)), (-INF, INF))]
-    (ranked_cell,), ranked_boxes = _ranked([cell], boxes)
+    (ranked_cell,), ranked_boxes, ends = _ranked([cell], boxes)
     assert ranked_cell == ((1, 1), (0, 1))
     # the box that is a single point on axis 0 is empty and dropped
     assert ranked_boxes == [((0, 2), (1, 2))]
+    assert ends == [[Fraction(-1), Fraction(0), Fraction(1), Fraction(2)],
+                    [-INF, Fraction(1, 2), INF]]
+
+
+def test_point_side_box_is_empty():
+    # an open box with a side lo == hi holds no point, so it is empty and
+    # inside every region
+    strat = LinearStratification(2, REAL, ((0,), (1,), (2,), (3,)))
+    box = ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(1)))
+    region = Region(3, (box,))
+    assert not region_contains(strat, REAL, region,
+                               (Fraction(3, 2), Fraction(1)))
+    assert region_is_empty(linear_model(strat), region)
+    assert region_subset(strat, REAL, region, Region(3, ()))
