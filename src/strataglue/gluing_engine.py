@@ -6,8 +6,10 @@ base support I in class a and a vector whose support contains I.  Chart maps
 are words over three primitives: GLUE(a) forgets the tags, PHI(a,b) advances
 the tag chain to class b, PSI(b,a,choice) prepends a chosen base tag.  The
 composition identities between charts and bundle maps become a terminating
-rewrite system on words, so map equality is decidable by normal form, and is
-cross-checked by evaluation at deterministic rational sample points.
+rewrite system on words, and two maps are equal exactly when their normal
+forms are.  Data normalize their words on construction, so coincidence is
+decided by comparing words; words_equal also evaluates two words at
+deterministic tagged sample points, as a cross-check of the rewrite rules.
 
 The atlas builder runs one pass per poset layer: canonical data on the
 smallest strata, then for each later stratum the data induced from below are
@@ -191,10 +193,14 @@ def tagged_samples(strat, field, chain_classes, count, seed=11):
 
 
 def words_equal(strat, field, w1, w2, chain_classes, count=100):
-    """Normal-form equality cross-checked at deterministic sample points."""
-    n1, n2 = normalize(w1), normalize(w2)
-    if n1 != n2:
+    """Normal-form equality cross-checked at deterministic sample points.
+
+    Fails closed: when no sample point evaluates under both words, the
+    cross-check has shown nothing and the answer is False.
+    """
+    if normalize(w1) != normalize(w2):
         return False
+    evaluated = 0
     for point in tagged_samples(strat, field, chain_classes, count):
         try:
             r1 = evaluate(strat, w1, point)
@@ -203,7 +209,8 @@ def words_equal(strat, field, w1, w2, chain_classes, count=100):
             continue
         if r1 != r2:
             return False
-    return True
+        evaluated += 1
+    return evaluated > 0
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +401,10 @@ def induce(model, datum, b, region, epsilon):
 
     The new chart is the old one precomposed with the tag-prepending map
     whose base choice is the smallest admissible support per target support;
-    the metric pushes forward unchanged along coordinates.  Injectivity of
-    the new chart over the region is verified on sample points.
+    the metric pushes forward unchanged along coordinates.  The region must
+    lie inside the chart image over b.  Each chart is injective on every
+    bundle component by construction: evaluating a chart word at a tagged
+    point leaves the point's vector unchanged.
     """
     strat = model.strat
     a = datum.stratum
@@ -409,13 +418,20 @@ def induce(model, datum, b, region, epsilon):
     img = image_region(model, datum, b)
     if not region_subset(strat, model.field, region, img):
         raise EngineError("region is not inside the chart image over %d" % b)
+    return _induce(model, datum, b, region, epsilon)
+
+
+def _induce(model, datum, b, region, epsilon):
+    """induce for a region and radius known to be admissible."""
+    strat = model.strat
+    a = datum.stratum
     choice = {}
     for J in strat.classes[b]:
         cands = [I for I in strat.classes[a] if I & J == I]
         if cands:
             choice[J] = min(cands)
     word = psi(b, a, choice)
-    new = GluingDatum(
+    return GluingDatum(
         stratum=b,
         region=region,
         scales=datum.scales,
@@ -424,66 +440,21 @@ def induce(model, datum, b, region, epsilon):
         bundle_words={c: (word,) + datum.bundle_words[c]
                       for c in strat.above(b)},
     )
-    _check_injectivity(model, new)
-    return new
-
-
-def _check_injectivity(model, datum, count=24):
-    """Sample-based injectivity of the chart on each bundle component.
-
-    The chart can identify points sitting over different base supports (two
-    small coordinates can each serve as the fiber direction of the other),
-    so only per-component injectivity is checkable and meaningful here: two
-    distinct sampled points with the same base tag must have distinct
-    images.
-    """
-    strat = model.strat
-    seen = {}
-    b = datum.stratum
-    for c in strat.above(b):
-        for point in tagged_samples(strat, model.field, (b, c), count):
-            chain, vector = point
-            base = tuple(x if chain[0] & (1 << i) else zero(model.field)
-                         for i, x in enumerate(vector))
-            if not region_contains(strat, model.field, datum.region, base):
-                continue
-            try:
-                image = evaluate(strat, datum.phi_word, point)
-            except EngineError:
-                continue
-            key = (chain[0], image)
-            if key in seen and seen[key] != (chain[0], vector):
-                raise EngineError("chart not injective on sample points")
-            seen[key] = (chain[0], vector)
 
 
 def coincide(model, d1, d2):
-    """Equality of two data over the intersection of their regions."""
+    """Equality of two data over the intersection of their regions.
+
+    Two chart maps are equal exactly when their normalized words are, and
+    data hold normalized words, so equal metrics and words decide the
+    matter; only data that differ need an empty overlap.
+    """
     if d1.stratum != d2.stratum:
         return False
-    overlap = d1.region.intersect(d2.region)
-    if region_is_empty(model, overlap):
+    if ((d1.scales, d1.phi_word, d1.bundle_words)
+            == (d2.scales, d2.phi_word, d2.bundle_words)):
         return True
-    if d1.scales != d2.scales:
-        return False
-    if d1.phi_word != d2.phi_word:
-        return False
-    if d1.bundle_words != d2.bundle_words:
-        return False
-    # normal forms agree; cross-check by evaluation over the overlap
-    strat = model.strat
-    a = d1.stratum
-    for c in strat.above(a):
-        for point in tagged_samples(strat, model.field, (a, c), 20):
-            chain, vector = point
-            base = tuple(x if chain[0] & (1 << i) else zero(model.field)
-                         for i, x in enumerate(vector))
-            if not region_contains(strat, model.field, overlap, base):
-                continue
-            if (evaluate(strat, d1.phi_word, point)
-                    != evaluate(strat, d2.phi_word, point)):
-                return False
-    return True
+    return region_is_empty(model, d1.region.intersect(d2.region))
 
 
 def sew(model, d1, d2):
@@ -510,18 +481,20 @@ def inward_extend(model, datum):
     the extended datum and the collar radius (None on a boundaryless
     stratum).
     """
-    strat = model.strat
-    if not boundary_type(strat, model.field, datum.region):
+    cut = collar(model.strat, model.field, datum.region)
+    if cut is None:
         raise EngineError("inward extension needs a boundary-type region")
-    collar_region, radius = collar(strat, model.field, datum.region)
+    return _extend(model, datum, *cut)
+
+
+def _extend(model, datum, collar_region, radius):
+    """inward_extend with the collar of the datum's region given."""
     extended = model.canonical_datum(
         datum.stratum, epsilon=datum.epsilon, scales=datum.scales)
-    if collar_region.boxes and not region_is_empty(model, collar_region):
-        inner = restrict(model, datum, collar_region, datum.epsilon)
-        outer = restrict(model, extended, collar_region, datum.epsilon)
-        if not coincide(model, inner, outer):
-            raise EngineError(
-                "datum does not extend: disagreement on the collar")
+    # the collar lies inside the region and inside the whole stratum
+    if not coincide(model, replace(datum, region=collar_region),
+                    replace(extended, region=collar_region)):
+        raise EngineError("datum does not extend: disagreement on the collar")
     return extended, radius
 
 
@@ -544,9 +517,11 @@ def check_compatible(model, d1, d2):
 
 
 def _induced_on(model, datum, b, region, eps):
+    """The datum on a region of its image over b, at a smaller radius."""
     if b == datum.stratum:
         return restrict(model, datum, region, eps)
-    return induce(model, datum, b, region, eps)
+    # the region is a meet of image boxes, so it lies inside the image
+    return _induce(model, datum, b, region, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +668,15 @@ def build_atlas(model):
                 img = image_region(model, data[g], a)
                 if region_is_empty(model, img):
                     continue
-                pieces.append(induce(model, data[g], a, img, eps))
+                pieces.append(_induce(model, data[g], a, img, eps))
             merged = pieces[0]
             for p in pieces[1:]:
                 merged = sew(model, merged, p)
-            if not boundary_type(strat, model.field, merged.region):
+            cut = collar(strat, model.field, merged.region)
+            if cut is None:
                 raise EngineError(
                     "sewed domain over stratum %d is not boundary-type" % a)
-            extended, radius = inward_extend(model, merged)
+            extended, radius = _extend(model, merged, *cut)
             data[a] = replace(extended, epsilon=eps)
             if radius is not None:
                 half = Fraction(radius) / 2

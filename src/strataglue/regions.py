@@ -245,6 +245,8 @@ def region_subset(strat, field, inner, outer):
     """Whether inner-intersect-stratum sits inside outer-intersect-stratum."""
     if inner.cls != outer.cls:
         raise RegionError("regions live over different strata")
+    if full_box(strat.m * real_axes(field)) in outer.boxes:
+        return True  # the whole stratum holds every region over it
     cells = [c for mask in strat.classes[inner.cls] for box in inner.boxes
              for c in _piece_cells(strat, field, mask, box)]
     return uncovered_point(cells, outer.boxes) is None
@@ -269,50 +271,35 @@ def boundary_type(strat, field, region):
     piece contained in the region.  With finitely many boxes the strip with
     radius below every corner magnitude decides the matter exactly.
     """
-    ok, _ = _collar_data(strat, field, region)
-    return ok
-
-
-def _collar_data(strat, field, region):
-    num_axes = strat.m * real_axes(field)
-    cells = []
-    strips = []
-    for mask in strat.classes[region.cls]:
-        for i in indices_of(mask):
-            axes = axes_of(field, i)
-            r = _strip_radius(region.boxes, axes)
-            strip = list(full_box(num_axes))
-            for a in axes:
-                strip[a] = (-r, r)
-            cells += _piece_cells(strat, field, mask, strip)
-            strips.append((i, r))
-    if uncovered_point(cells, region.boxes) is not None:
-        return False, None
-    return True, strips
+    return collar(strat, field, region) is not None
 
 
 def collar(strat, field, region):
     """A boundary-type sub-region hugging the boundary, and its radius.
 
-    Only defined when the region itself is boundary-type.  The collar is the
-    union, over boundary strips, of the strip box intersected with the
-    region's own boxes, so it sits inside the region on every support piece.
-    Returns (collar_region, radius); radius is None when the stratum has no
-    boundary (the class of the empty support).
+    The collar is the union, over the boundary strips of boundary_type, of
+    the strip box intersected with the region's own boxes, so it sits
+    inside the region on every support piece.  Returns (collar_region,
+    radius), or None when the region is not boundary-type; radius is None
+    when the stratum has no boundary (the class of the empty support).
     """
-    ok, strips = _collar_data(strat, field, region)
-    if not ok:
-        raise RegionError("collar requires a boundary-type region")
     num_axes = strat.m * real_axes(field)
+    cells = []
     boxes = []
     radius = None
-    for i, r in strips:
-        radius = r if radius is None else min(radius, r)
-        strip = list(full_box(num_axes))
-        for a in axes_of(field, i):
-            strip[a] = (-r, r)
-        for box in region.boxes:
-            cut = meet(strip, box)
-            if all(lo < hi for lo, hi in cut):
-                boxes.append(cut)
+    for mask in strat.classes[region.cls]:
+        for i in indices_of(mask):
+            axes = axes_of(field, i)
+            r = _strip_radius(region.boxes, axes)
+            radius = r if radius is None else min(radius, r)
+            strip = list(full_box(num_axes))
+            for a in axes:
+                strip[a] = (-r, r)
+            cells += _piece_cells(strat, field, mask, strip)
+            for box in region.boxes:
+                cut = meet(strip, box)
+                if all(lo < hi for lo, hi in cut):
+                    boxes.append(cut)
+    if uncovered_point(cells, region.boxes) is not None:
+        return None
     return Region(region.cls, tuple(dict.fromkeys(boxes))), radius

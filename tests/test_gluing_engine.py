@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from strataglue.fields import COMPLEX, REAL, from_real_parts, real_axes
 from strataglue.linear_strata import (LinearStratification, OrderError,
-                                      chain_stratification, mask_of)
+                                      chain_stratification,
+                                      enumerate_stratifications, mask_of)
 from strataglue.gluing_engine import (
     EngineError,
     _exact_checks,
@@ -33,7 +34,7 @@ from strataglue.gluing_engine import (
     verify_cover,
     words_equal,
 )
-from strataglue.regions import Region, whole_stratum
+from strataglue.regions import Region, collar, region_subset, whole_stratum
 
 import oracles
 
@@ -151,6 +152,15 @@ class TestEvaluate:
                         assert words_equal(s, model.field, lhs, rhs,
                                            (a, b, c))
 
+    def test_words_equal_fails_closed(self):
+        s = CHAIN2.strat
+        # no support of class 2 sits inside one of class 1: no chain
+        assert tagged_samples(s, REAL, (2, 1), 10) == []
+        assert not words_equal(s, REAL, (glue(2),), (glue(2),), (2, 1))
+        # every sample lies over stratum 1, where glue(0) cannot evaluate
+        assert not words_equal(s, REAL, (glue(0),), (glue(0),), (1, 2))
+        assert words_equal(s, REAL, (glue(1),), (glue(1),), (1, 2))
+
 
 class TestRestrict:
     def test_identity_restriction(self):
@@ -215,6 +225,16 @@ class TestInduce:
         with pytest.raises(EngineError):
             induce(M1, d, 1, big, d.epsilon / 2)
 
+    def test_region_past_image_rejected(self):
+        # the image over the first axis is the interval (-1, 1) on it; a
+        # box reaching past it is refused by the guard
+        d = SEP2.canonical_datum(0)
+        img = image_region(SEP2, d, 1)
+        wide = img.union(Region(1, (
+            ((Fraction(-2), Fraction(2)), (Fraction(-1), Fraction(1))),)))
+        with pytest.raises(EngineError, match="not inside the chart image"):
+            induce(SEP2, d, 1, wide, d.epsilon / 2)
+
     def test_commutes_with_restriction(self):
         d = CHAIN2.canonical_datum(0)
         img = image_region(CHAIN2, d, 1)
@@ -277,6 +297,19 @@ class TestBoundaryType:
             ((float("-inf"), float("inf")), (-e, e))))
         assert is_boundary_type(CHAIN2, unbounded)
 
+    def test_collar_exactly_on_boundary_type(self):
+        e = Fraction(1, 2)
+        for model, region in (
+                (M1, Region(1, (((Fraction(-1), Fraction(1)),),))),
+                (M1, Region(1, (((Fraction(1), Fraction(2)),),))),
+                (CHAIN2, Region(2, (((-e, e), (-Fraction(9), Fraction(9))),
+                                    ((-Fraction(9), Fraction(9)), (-e, e))))),
+                (CHAIN2, whole_stratum(CHAIN2.strat, REAL, 2))):
+            cut = collar(model.strat, REAL, region)
+            assert (cut is not None) == is_boundary_type(model, region)
+            if cut is not None:
+                assert region_subset(model.strat, REAL, cut[0], region)
+
 
 class TestInwardExtend:
     def test_global_datum_extends_to_itself(self):
@@ -305,6 +338,16 @@ class TestInwardExtend:
         d = restrict(M1, M1.canonical_datum(1), u, Fraction(1))
         with pytest.raises(EngineError):
             inward_extend(M1, d)
+
+    def test_non_boundary_type_rejected_chain2(self):
+        # two bounded strips: near the far ends of each axis nothing of the
+        # region hugs the boundary
+        e = Fraction(1, 2)
+        u = Region(2, (((-e, e), (-Fraction(9), Fraction(9))),
+                       ((-Fraction(9), Fraction(9)), (-e, e))))
+        d = restrict(CHAIN2, CHAIN2.canonical_datum(2), u, Fraction(1))
+        with pytest.raises(EngineError, match="needs a boundary-type region"):
+            inward_extend(CHAIN2, d)
 
 
 class TestCompatibility:
@@ -376,6 +419,40 @@ class TestBuildAtlas:
         assert js["separation"]["ok"] is True
         assert js["cover"]["ok"] is True
         assert js["passes"] == 2
+
+
+BUILT_MODELS = [
+    pytest.param(linear_model(s), id="%s%d-%d" % (name, m, i))
+    for name, field, ms in (("R", REAL, (1, 2, 3)), ("C", COMPLEX, (1, 2)))
+    for m in ms
+    for i, s in enumerate(enumerate_stratifications(m, field))]
+
+
+@pytest.mark.parametrize("model", BUILT_MODELS)
+def test_chart_words_keep_the_vector(model):
+    """The fact that makes sampled injectivity and coincidence checks
+    vacuous: a chart word, built or induced, maps a tagged point over its
+    stratum to that point's vector unchanged, so the image determines the
+    point on each bundle component, and two data with the same normalized
+    words agree at every point.  On its own stratum a built datum's image
+    is exactly its region."""
+    s, field = model.strat, model.field
+    data = build_atlas(model).data
+
+    def check(d):
+        for c in s.above(d.stratum):
+            for chain, vector in tagged_samples(s, field, (d.stratum, c), 8):
+                assert evaluate(s, d.phi_word, (chain, vector)) == vector
+
+    for g, d in data.items():
+        check(d)
+        own = image_region(model, d, g)
+        assert region_subset(s, field, own, d.region)
+        assert region_subset(s, field, d.region, own)
+        for a in s.above(g):
+            img = image_region(model, d, a)
+            if a != g and not region_is_empty(model, img):
+                check(induce(model, d, a, img, d.epsilon))
 
 
 class TestImages:
