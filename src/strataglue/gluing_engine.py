@@ -19,9 +19,9 @@ certifies pairwise compatibility, the separation of images of incomparable
 strata, and that the chart images cover the whole space.
 
 Separation and cover are decided exactly, with the same box calculus as
-compatibility.  A chart image is a finite union of terms, each an open box
-on the points whose support contains a base support, so on each support
-piece both conditions are covers of cells by open boxes, which regions
+compatibility.  The image of a chart over a stratum is an exact region of
+support-tagged terms (image_region), so on each support piece both
+conditions are covers of cells by the open boxes tagged there, which regions
 decides by coordinate compression over the box corners.  A failing check
 reports one point of an uncovered cell as its witness.
 """
@@ -34,9 +34,9 @@ from fractions import Fraction
 
 from .fields import box_abs, from_real_parts, is_zero, real_axes, zero
 from .linear_strata import LinearStratification, OrderError, popcount
-from .regions import (Region, _piece_cells, axes_of, boundary_type, collar,
-                      full_box, meet, region_contains, region_subset,
-                      uncovered_point, whole_stratum)
+from .regions import (Region, _piece_cells, collar, full_box, meet,
+                      region_contains, region_subset, uncovered_point,
+                      whole_stratum)
 
 EPS_FLOOR = Fraction(1, 2 ** 32)
 
@@ -342,46 +342,39 @@ def point_in_image(model, datum, v):
 
 
 def image_region(model, datum, b):
-    """The b-stratum part of the chart image, as an exact region over b."""
+    """The b-stratum part of the chart image, as an exact region over b.
+
+    A term (I, B) of the datum's region gives the box that is B on the axes
+    of I and the fiber (-epsilon/scale, epsilon/scale) on every other axis;
+    the term is dropped where B misses 0 off I.  The box holds exactly the
+    image points whose support J contains I, so it is tagged with every such
+    J in class b.
+    """
     strat = model.strat
-    a = datum.stratum
-    if not strat.leq(a, b):
-        raise OrderError("stratum %d is not above %d" % (b, a))
+    if not strat.leq(datum.stratum, b):
+        raise OrderError("stratum %d is not above %d" % (b, datum.stratum))
     k = real_axes(model.field)
-    num_axes = strat.m * k
-    boxes = []
-    for I in strat.classes[a]:
-        for J in strat.classes[b]:
-            if I & J != I:
-                continue
-            for B in datum.region.boxes:
-                box = list(full_box(num_axes))
-                usable = True
-                for coord in range(1, strat.m + 1):
-                    bit = 1 << (coord - 1)
-                    for ax in axes_of(model.field, coord):
-                        if I & bit:
-                            box[ax] = B[ax]
-                        elif J & bit:
-                            e = datum.epsilon / datum.scales[coord - 1]
-                            box[ax] = (-e, e)
-                        if not I & bit:
-                            lo, hi = B[ax]
-                            if not lo < 0 < hi:
-                                usable = False
-                    if not usable:
-                        break
-                if usable and all(lo < hi for lo, hi in box):
-                    boxes.append(tuple(box))
-    return Region(b, tuple(dict.fromkeys(boxes)))
+    terms = []
+    for I, B in datum.region.terms:
+        box = []
+        for ax, (lo, hi) in enumerate(B):
+            c = ax // k
+            if I >> c & 1:
+                box.append((lo, hi))
+            elif lo < 0 < hi:
+                e = datum.epsilon / datum.scales[c]
+                box.append((-e, e))
+            else:
+                break
+        else:
+            terms += [(J, tuple(box)) for J in strat.classes[b] if I & J == I]
+    return Region(b, tuple(dict.fromkeys(terms)))
 
 
 def region_is_empty(model, region):
-    """Whether the region meets its stratum at all, decided exactly."""
-    strat = model.strat
-    return not any(_piece_cells(strat, model.field, mask, box)
-                   for mask in strat.classes[region.cls]
-                   for box in region.boxes)
+    """Whether the region holds no point, decided exactly."""
+    return not any(_piece_cells(model.strat, model.field, J, box)
+                   for J, box in region.terms)
 
 
 def restrict(model, datum, region, epsilon):
@@ -468,10 +461,6 @@ def sew(model, d1, d2):
                    epsilon=min(d1.epsilon, d2.epsilon) / 2)
 
 
-def is_boundary_type(model, region):
-    return boundary_type(model.strat, model.field, region)
-
-
 def inward_extend(model, datum):
     """Global datum on the stratum agreeing with the input near the boundary.
 
@@ -504,24 +493,16 @@ def check_compatible(model, d1, d2):
     common = set(strat.above(d1.stratum)) & set(strat.above(d2.stratum))
     eps = min(d1.epsilon, d2.epsilon) / 2
     for b in sorted(common):
-        r1 = image_region(model, d1, b)
-        r2 = image_region(model, d2, b)
-        W = r1.intersect(r2)
+        W = image_region(model, d1, b).intersect(image_region(model, d2, b))
         if region_is_empty(model, W):
             continue
-        e1 = _induced_on(model, d1, b, W, eps)
-        e2 = _induced_on(model, d2, b, W, eps)
+        # W is a meet of exact images, so it lies inside each datum's image
+        # over b, which on a datum's own stratum is its region
+        e1, e2 = (replace(d, region=W, epsilon=eps) if b == d.stratum
+                  else _induce(model, d, b, W, eps) for d in (d1, d2))
         if not coincide(model, e1, e2):
             return False
     return True
-
-
-def _induced_on(model, datum, b, region, eps):
-    """The datum on a region of its image over b, at a smaller radius."""
-    if b == datum.stratum:
-        return restrict(model, datum, region, eps)
-    # the region is a meet of image boxes, so it lies inside the image
-    return _induce(model, datum, b, region, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -561,43 +542,11 @@ class AtlasReport:
         }
 
 
-def _image_terms(model, datum):
-    """The chart image of the datum as terms (I, box), one per base support I
-    of its stratum and box B of its region.
-
-    A term holds the points whose support contains I and that lie in the
-    open box: B on the axes of I, and on every other axis the fiber
-    (-epsilon/scale, epsilon/scale), where the term exists only when B holds
-    0.  The union of the terms is exactly point_in_image's predicate (a
-    support containing I is in a class at or above the stratum, by the
-    frontier condition).
-    """
-    k = real_axes(model.field)
-    terms = []
-    if datum.region.cls != datum.stratum:
-        return terms
-    for I in model.strat.classes[datum.stratum]:
-        for B in datum.region.boxes:
-            box = []
-            for ax, (lo, hi) in enumerate(B):
-                c = ax // k
-                if I >> c & 1:
-                    box.append((lo, hi))
-                elif lo < 0 < hi:
-                    e = datum.epsilon / datum.scales[c]
-                    box.append((-e, e))
-                else:
-                    break
-            else:
-                terms.append((I, tuple(box)))
-    return terms
-
-
 def _exact_checks(model, data):
     """Separation and cover of the chart images, decided on support pieces.
 
-    On the piece V^[J] of the points with support J, a term (I, box) holds
-    the points of its box when I is inside J and none otherwise, so both
+    On the piece V^[J] of the points with support J, the chart images are
+    the J-tagged terms of their image regions over the class of J, so both
     questions are covers of cells by open boxes.  Separation: for strata a,
     b that are incomparable, the cells of the meet of every term of a with
     every term of b on J must be covered by the terms of their common lower
@@ -610,10 +559,13 @@ def _exact_checks(model, data):
     field = model.field
     k = real_axes(field)
     pieces = range(1 << strat.m)
-    terms = {a: _image_terms(model, d) for a, d in data.items()}
+    images = {(g, c): image_region(model, d, c)
+              for g, d in data.items() for c in strat.above(g)}
 
     def on(J, strata):
-        return [box for g in strata for I, box in terms[g] if I & J == I]
+        c = strat.class_of(J)
+        return [box for g in strata if (g, c) in images
+                for box in images[g, c].on(J)]
 
     def witness(cells, boxes):
         point = uncovered_point(cells, boxes)

@@ -1,11 +1,13 @@
 """Exact open-box regions inside the strata of a coordinate model.
 
-A region is a finite union of open axis-aligned boxes with rational corners,
-read as intersected with one stratum V_a (the union of the support pieces
-V^[I] over the class a).  Each field coordinate contributes one real axis
-over the rationals and two over the Gaussian rationals.  All topology here
-(containment, boundary-type, collars) is exact interval arithmetic; the only
-non-rational values are the +/- infinity sentinels.
+A region over the stratum V_a (the union of the support pieces V^[J] over
+the class a) is a finite union of terms (J, box): a term holds the points of
+support exactly J, a support of a, that lie in an open axis-aligned box with
+rational corners.  Each field coordinate contributes one real axis over the
+rationals and two over the Gaussian rationals.  All topology here
+(containment, boundary-type, collars) is exact interval arithmetic, decided
+piece by piece on each support's own terms; the only non-rational values
+are the +/- infinity sentinels.
 """
 
 from __future__ import annotations
@@ -41,22 +43,29 @@ def axes_of(field, coord):
 
 @dataclass(frozen=True)
 class Region:
-    """Union of open boxes, intersected with the stratum of class cls."""
+    """Union of terms (J, box) over the stratum of class cls.
+
+    A term holds the points of support exactly J that lie in the box."""
 
     cls: int
-    boxes: tuple  # each box: tuple of (lo, hi) open rational intervals
+    terms: tuple  # each (J, box): a support bitmask and (lo, hi) intervals
 
     def intersect(self, other):
         if self.cls != other.cls:
             raise RegionError("regions live over different strata")
-        boxes = [meet(a, b) for a in self.boxes for b in other.boxes]
+        terms = [(J, meet(a, b)) for J, a in self.terms
+                 for K, b in other.terms if J == K]
         return Region(self.cls, tuple(dict.fromkeys(
-            c for c in boxes if all(lo < hi for lo, hi in c))))
+            (J, c) for J, c in terms if all(lo < hi for lo, hi in c))))
 
     def union(self, other):
         if self.cls != other.cls:
             raise RegionError("regions live over different strata")
-        return Region(self.cls, tuple(dict.fromkeys(self.boxes + other.boxes)))
+        return Region(self.cls, tuple(dict.fromkeys(self.terms + other.terms)))
+
+    def on(self, J):
+        """The boxes of the terms on the support J."""
+        return [box for K, box in self.terms if K == J]
 
     def to_json(self):
         def side(x):
@@ -67,12 +76,14 @@ class Region:
             return [x.numerator, x.denominator]
 
         return {"class": self.cls,
-                "boxes": [[[side(lo), side(hi)] for lo, hi in b]
-                          for b in self.boxes]}
+                "terms": [[list(indices_of(J)),
+                           [[side(lo), side(hi)] for lo, hi in b]]
+                          for J, b in self.terms]}
 
 
 def whole_stratum(strat, field, cls):
-    return Region(cls, (full_box(strat.m * real_axes(field)),))
+    full = full_box(strat.m * real_axes(field))
+    return Region(cls, tuple((J, full) for J in strat.classes[cls]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +221,13 @@ def _punctured(iv):
 # region predicates against a stratification
 
 def region_contains(strat, field, region, point):
-    """Exact membership of a point of K^m in region-intersect-stratum."""
-    cls, mask = strat.stratum_of(point)
-    if cls != region.cls:
-        return False
+    """Exact membership of a point of K^m in the region."""
+    mask = strat.stratum_of(point)[1]
     coords = []
     for x in point:
         coords.extend(real_parts(x))
     return any(all(lo < c < hi for c, (lo, hi) in zip(coords, box))
-               for box in region.boxes)
+               for box in region.on(mask))
 
 
 def _piece_cells(strat, field, mask, box):
@@ -242,14 +251,20 @@ def _piece_cells(strat, field, mask, box):
 
 
 def region_subset(strat, field, inner, outer):
-    """Whether inner-intersect-stratum sits inside outer-intersect-stratum."""
+    """Whether the inner region sits inside the outer one, support by
+    support."""
     if inner.cls != outer.cls:
         raise RegionError("regions live over different strata")
-    if full_box(strat.m * real_axes(field)) in outer.boxes:
-        return True  # the whole stratum holds every region over it
-    cells = [c for mask in strat.classes[inner.cls] for box in inner.boxes
-             for c in _piece_cells(strat, field, mask, box)]
-    return uncovered_point(cells, outer.boxes) is None
+    full = full_box(strat.m * real_axes(field))
+    for J in strat.classes[inner.cls]:
+        boxes = outer.on(J)
+        if full in boxes:
+            continue  # the whole piece holds every term on it
+        cells = [c for box in inner.on(J)
+                 for c in _piece_cells(strat, field, J, box)]
+        if uncovered_point(cells, boxes) is not None:
+            return False
+    return True
 
 
 def _strip_radius(boxes, axes):
@@ -277,29 +292,30 @@ def boundary_type(strat, field, region):
 def collar(strat, field, region):
     """A boundary-type sub-region hugging the boundary, and its radius.
 
-    The collar is the union, over the boundary strips of boundary_type, of
-    the strip box intersected with the region's own boxes, so it sits
-    inside the region on every support piece.  Returns (collar_region,
-    radius), or None when the region is not boundary-type; radius is None
-    when the stratum has no boundary (the class of the empty support).
+    On each support piece the collar is the union, over the boundary strips
+    of boundary_type, of the strip box intersected with the piece's own
+    terms, so it sits inside the region.  Returns (collar_region, radius),
+    or None when the region is not boundary-type; radius is None when the
+    stratum has no boundary (the class of the empty support).
     """
     num_axes = strat.m * real_axes(field)
-    cells = []
-    boxes = []
+    terms = []
     radius = None
-    for mask in strat.classes[region.cls]:
-        for i in indices_of(mask):
+    for J in strat.classes[region.cls]:
+        boxes = region.on(J)
+        cells = []
+        for i in indices_of(J):
             axes = axes_of(field, i)
-            r = _strip_radius(region.boxes, axes)
+            r = _strip_radius(boxes, axes)
             radius = r if radius is None else min(radius, r)
             strip = list(full_box(num_axes))
             for a in axes:
                 strip[a] = (-r, r)
-            cells += _piece_cells(strat, field, mask, strip)
-            for box in region.boxes:
+            cells += _piece_cells(strat, field, J, strip)
+            for box in boxes:
                 cut = meet(strip, box)
                 if all(lo < hi for lo, hi in cut):
-                    boxes.append(cut)
-    if uncovered_point(cells, region.boxes) is not None:
-        return None
-    return Region(region.cls, tuple(dict.fromkeys(boxes))), radius
+                    terms.append((J, cut))
+        if uncovered_point(cells, boxes) is not None:
+            return None
+    return Region(region.cls, tuple(dict.fromkeys(terms))), radius

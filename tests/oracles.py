@@ -285,21 +285,24 @@ def covered_pointwise(cell, boxes):
     return True
 
 
-def subset_pointwise(supports, m, k, inner, outer):
-    """Whether the inner boxes lie in the outer ones on a stratum of K^m.
+def subset_pointwise(m, k, inner, outer):
+    """Whether the inner terms lie in the outer ones in K^m.
 
-    The stratum is the set of points whose support is one of the given
-    bitmasks; coordinate c owns the k real axes k*c .. k*c+k-1 and is
-    nonzero when one of them is.  0 is a cut on every axis, so the support
-    is constant on each piece too."""
-    reps = [_representatives([0] + [x for b in inner + outer for x in b[ax]])
+    A term (support, box) holds the points of exactly that support bitmask
+    that lie in the open box; coordinate c owns the k real axes
+    k*c .. k*c+k-1 and is nonzero when one of them is.  0 is a cut on every
+    axis, so the support is constant on each piece too."""
+    reps = [_representatives([0] + [x for _, b in inner + outer
+                                     for x in b[ax]])
             for ax in range(m * k)]
+
+    def holds(terms, support, point):
+        return any(J == support and _in_open_box(b, point) for J, b in terms)
+
     for point in itertools.product(*reps):
         support = sum(1 << c for c in range(m)
                       if any(point[k * c:k * c + k]))
-        if (support in supports
-                and any(_in_open_box(b, point) for b in inner)
-                and not any(_in_open_box(b, point) for b in outer)):
+        if holds(inner, support, point) and not holds(outer, support, point):
             return False
     return True
 
@@ -307,21 +310,22 @@ def subset_pointwise(supports, m, k, inner, outer):
 def separation_cover_pointwise(num_axes, k, data, pairs, in_image):
     """Separation and cover failures of chart images, found point by point.
 
-    data maps each stratum to its datum; only the ends of its region boxes
-    and its fiber radii epsilon/scale are read, as cut values on every axis,
-    together with 0.  Each chart image is a union of open boxes on the points
-    of a support at least a base support, so membership is constant on each
-    product of pieces of the cut lines, and one point per product decides
-    both conditions.  pairs maps each incomparable pair (a, b) to the set of
-    its common lower strata; in_image(a, point) is the membership of the
-    point, given by its real coordinates, in the image of data[a].  Returns
-    the sorted failing (pair, support) and the sorted uncovered supports.
+    data maps each stratum to its datum; only the box ends of its region
+    terms and its fiber radii epsilon/scale are read, as cut values on every
+    axis, together with 0.  Each chart image is a union of open boxes on the
+    points of a support at least a base support, so membership is constant
+    on each product of pieces of the cut lines, and one point per product
+    decides both conditions.  pairs maps each incomparable pair (a, b) to
+    the set of its common lower strata; in_image(a, point) is the membership
+    of the point, given by its real coordinates, in the image of data[a].
+    Returns the sorted failing (pair, support) and the sorted uncovered
+    supports.
     """
     ends = [[0] for _ in range(num_axes)]
     for d in data.values():
         for ax in range(num_axes):
             e = d.epsilon / d.scales[ax // k]
-            ends[ax] += [x for box in d.region.boxes for x in box[ax]]
+            ends[ax] += [x for _, box in d.region.terms for x in box[ax]]
             ends[ax] += [-e, e]
     separation, cover = set(), set()
     for point in itertools.product(*map(_representatives, ends)):

@@ -12,7 +12,6 @@ from strataglue.linear_strata import (LinearStratification, OrderError,
 from strataglue.gluing_engine import (
     EngineError,
     _exact_checks,
-    _image_terms,
     build_atlas,
     check_compatible,
     coincide,
@@ -21,7 +20,6 @@ from strataglue.gluing_engine import (
     image_region,
     induce,
     inward_extend,
-    is_boundary_type,
     linear_model,
     normalize,
     phi,
@@ -34,7 +32,8 @@ from strataglue.gluing_engine import (
     verify_cover,
     words_equal,
 )
-from strataglue.regions import Region, collar, region_subset, whole_stratum
+from strataglue.regions import (INF, Region, boundary_type, collar,
+                               region_contains, region_subset, whole_stratum)
 
 import oracles
 
@@ -43,6 +42,12 @@ def strat(m, classes, field=REAL):
     return LinearStratification(
         m, field, tuple(tuple(sorted(mask_of(I) for I in c))
                         for c in classes))
+
+
+def on_every_support(model, cls, *boxes):
+    """The region over class cls holding each box on every support."""
+    return Region(cls, tuple((J, box) for box in boxes
+                             for J in model.strat.classes[cls]))
 
 
 M1 = linear_model(strat(1, [[()], [(1,)]]))
@@ -177,7 +182,7 @@ class TestRestrict:
 
     def test_sub_box_membership(self):
         d = M1.canonical_datum(1)
-        sub = Region(1, (((Fraction(-1), Fraction(1)),),))
+        sub = on_every_support(M1, 1, ((Fraction(-1), Fraction(1)),))
         r = restrict(M1, d, sub, d.epsilon)
         assert point_in_image(M1, r, (Fraction(1, 2),))
         assert not point_in_image(M1, r, (Fraction(2),))
@@ -190,7 +195,7 @@ class TestRestrict:
 
     def test_outside_region_rejected(self):
         d = M1.canonical_datum(1)
-        sub = Region(1, (((Fraction(-1), Fraction(1)),),))
+        sub = on_every_support(M1, 1, ((Fraction(-1), Fraction(1)),))
         r = restrict(M1, d, sub, d.epsilon)
         with pytest.raises(EngineError):
             restrict(M1, r, d.region, d.epsilon)
@@ -221,7 +226,7 @@ class TestInduce:
 
     def test_region_outside_image_rejected(self):
         d = M1.canonical_datum(0)
-        big = Region(1, (((Fraction(-9), Fraction(9)),),))
+        big = on_every_support(M1, 1, ((Fraction(-9), Fraction(9)),))
         with pytest.raises(EngineError):
             induce(M1, d, 1, big, d.epsilon / 2)
 
@@ -230,17 +235,18 @@ class TestInduce:
         # box reaching past it is refused by the guard
         d = SEP2.canonical_datum(0)
         img = image_region(SEP2, d, 1)
-        wide = img.union(Region(1, (
-            ((Fraction(-2), Fraction(2)), (Fraction(-1), Fraction(1))),)))
+        wide = img.union(on_every_support(
+            SEP2, 1, ((Fraction(-2), Fraction(2)),
+                      (Fraction(-1), Fraction(1)))))
         with pytest.raises(EngineError, match="not inside the chart image"):
             induce(SEP2, d, 1, wide, d.epsilon / 2)
 
     def test_commutes_with_restriction(self):
         d = CHAIN2.canonical_datum(0)
         img = image_region(CHAIN2, d, 1)
-        small = Region(1, (
-            ((Fraction(-1, 2), Fraction(1, 2)),
-             (Fraction(-1, 4), Fraction(1, 4))),))
+        small = on_every_support(
+            CHAIN2, 1, ((Fraction(-1, 2), Fraction(1, 2)),
+                        (Fraction(-1, 4), Fraction(1, 4))))
         a = restrict(CHAIN2, induce(CHAIN2, d, 1, img, d.epsilon / 2),
                      small, d.epsilon / 4)
         b = induce(CHAIN2, restrict(CHAIN2, d, d.region, d.epsilon / 2),
@@ -257,10 +263,12 @@ class TestCoincideSew:
 
     def test_overlapping_restrictions(self):
         d = M1.canonical_datum(1)
-        left = restrict(M1, d, Region(1, (((Fraction(-2), Fraction(1)),),)),
-                        d.epsilon)
-        right = restrict(M1, d, Region(1, (((Fraction(-1), Fraction(2)),),)),
-                         d.epsilon)
+        left = restrict(
+            M1, d, on_every_support(M1, 1, ((Fraction(-2), Fraction(1)),)),
+            d.epsilon)
+        right = restrict(
+            M1, d, on_every_support(M1, 1, ((Fraction(-1), Fraction(2)),)),
+            d.epsilon)
         assert coincide(M1, left, right)
         merged = sew(M1, left, right)
         assert point_in_image(M1, merged, (Fraction(-3, 2),))
@@ -276,37 +284,39 @@ class TestCoincideSew:
 
 class TestBoundaryType:
     def test_whole_stratum(self):
-        assert is_boundary_type(M1, whole_stratum(M1.strat, REAL, 1))
+        assert boundary_type(M1.strat, REAL, whole_stratum(M1.strat, REAL, 1))
 
     def test_punctured_disk(self):
-        u = Region(1, (((Fraction(-1), Fraction(1)),),))
-        assert is_boundary_type(M1, u)
+        u = on_every_support(M1, 1, ((Fraction(-1), Fraction(1)),))
+        assert boundary_type(M1.strat, REAL, u)
 
     def test_interval_away_from_zero(self):
-        u = Region(1, (((Fraction(1), Fraction(2)),),))
-        assert not is_boundary_type(M1, u)
+        u = on_every_support(M1, 1, ((Fraction(1), Fraction(2)),))
+        assert not boundary_type(M1.strat, REAL, u)
 
     def test_chain2_strip_union(self):
         e = Fraction(1, 2)
-        u = Region(2, (
-            ((-e, e), (-Fraction(9), Fraction(9))),
-            ((-Fraction(9), Fraction(9)), (-e, e))))
-        assert not is_boundary_type(CHAIN2, u)
-        unbounded = Region(2, (
-            ((-e, e), (float("-inf"), float("inf"))),
-            ((float("-inf"), float("inf")), (-e, e))))
-        assert is_boundary_type(CHAIN2, unbounded)
+        u = on_every_support(CHAIN2, 2,
+                             ((-e, e), (-Fraction(9), Fraction(9))),
+                             ((-Fraction(9), Fraction(9)), (-e, e)))
+        assert not boundary_type(CHAIN2.strat, REAL, u)
+        unbounded = on_every_support(CHAIN2, 2,
+                                     ((-e, e), (-INF, INF)),
+                                     ((-INF, INF), (-e, e)))
+        assert boundary_type(CHAIN2.strat, REAL, unbounded)
 
     def test_collar_exactly_on_boundary_type(self):
         e = Fraction(1, 2)
         for model, region in (
-                (M1, Region(1, (((Fraction(-1), Fraction(1)),),))),
-                (M1, Region(1, (((Fraction(1), Fraction(2)),),))),
-                (CHAIN2, Region(2, (((-e, e), (-Fraction(9), Fraction(9))),
-                                    ((-Fraction(9), Fraction(9)), (-e, e))))),
+                (M1, on_every_support(M1, 1, ((Fraction(-1), Fraction(1)),))),
+                (M1, on_every_support(M1, 1, ((Fraction(1), Fraction(2)),))),
+                (CHAIN2, on_every_support(
+                    CHAIN2, 2, ((-e, e), (-Fraction(9), Fraction(9))),
+                    ((-Fraction(9), Fraction(9)), (-e, e)))),
                 (CHAIN2, whole_stratum(CHAIN2.strat, REAL, 2))):
             cut = collar(model.strat, REAL, region)
-            assert (cut is not None) == is_boundary_type(model, region)
+            assert (cut is not None) == boundary_type(model.strat, REAL,
+                                                      region)
             if cut is not None:
                 assert region_subset(model.strat, REAL, cut[0], region)
 
@@ -320,7 +330,7 @@ class TestInwardExtend:
 
     def test_restriction_extends_back(self):
         d = M1.canonical_datum(1)
-        u = Region(1, (((Fraction(-1), Fraction(1)),),))
+        u = on_every_support(M1, 1, ((Fraction(-1), Fraction(1)),))
         r = restrict(M1, d, u, d.epsilon)
         out, radius = inward_extend(M1, r)
         assert out.region == whole_stratum(M1.strat, REAL, 1)
@@ -328,13 +338,13 @@ class TestInwardExtend:
 
     def test_perturbed_metric_kept(self):
         d = M1.canonical_datum(1, scales=(Fraction(3),))
-        u = Region(1, (((Fraction(-1), Fraction(1)),),))
+        u = on_every_support(M1, 1, ((Fraction(-1), Fraction(1)),))
         r = restrict(M1, d, u, d.epsilon)
         out, _ = inward_extend(M1, r)
         assert out.scales == (Fraction(3),)
 
     def test_non_boundary_type_rejected(self):
-        u = Region(1, (((Fraction(1), Fraction(2)),),))
+        u = on_every_support(M1, 1, ((Fraction(1), Fraction(2)),))
         d = restrict(M1, M1.canonical_datum(1), u, Fraction(1))
         with pytest.raises(EngineError):
             inward_extend(M1, d)
@@ -343,8 +353,9 @@ class TestInwardExtend:
         # two bounded strips: near the far ends of each axis nothing of the
         # region hugs the boundary
         e = Fraction(1, 2)
-        u = Region(2, (((-e, e), (-Fraction(9), Fraction(9))),
-                       ((-Fraction(9), Fraction(9)), (-e, e))))
+        u = on_every_support(CHAIN2, 2,
+                             ((-e, e), (-Fraction(9), Fraction(9))),
+                             ((-Fraction(9), Fraction(9)), (-e, e)))
         d = restrict(CHAIN2, CHAIN2.canonical_datum(2), u, Fraction(1))
         with pytest.raises(EngineError, match="needs a boundary-type region"):
             inward_extend(CHAIN2, d)
@@ -459,7 +470,6 @@ class TestImages:
     def test_image_region_matches_pointwise(self):
         d = CHAIN2.canonical_datum(1, epsilon=Fraction(1, 2))
         img = image_region(CHAIN2, d, 2)
-        from strataglue.regions import region_contains
         vals = [Fraction(n, 4) for n in range(-6, 7)]
         for x in vals:
             for y in vals:
@@ -470,10 +480,10 @@ class TestImages:
                         == point_in_image(CHAIN2, d, v))
 
     def test_empty_region_detection(self):
-        r = Region(2, ())
+        r = on_every_support(CHAIN2, 2)
         assert region_is_empty(CHAIN2, r)
-        tiny = Region(2, (((Fraction(1), Fraction(2)),
-                           (Fraction(0), Fraction(0))),))
+        tiny = on_every_support(CHAIN2, 2, ((Fraction(1), Fraction(2)),
+                                            (Fraction(0), Fraction(0))))
         assert region_is_empty(CHAIN2, tiny)
 
 
@@ -491,22 +501,29 @@ def incomparable_pairs(strat, data):
             if not strat.leq(a, b) and not strat.leq(b, a)}
 
 
+def two_box_data(model, data):
+    """The data with radii 1 and regions cut down to two boxes on every
+    support, one of them away from 0 on every axis."""
+    num_axes = model.strat.m * real_axes(model.field)
+    boxes = (((Fraction(-1, 2), Fraction(1, 2)),) * num_axes,
+             ((Fraction(1, 4), INF),) * num_axes)
+    return {a: replace(d, epsilon=Fraction(1),
+                       region=on_every_support(model, a, *boxes))
+            for a, d in data.items()}
+
+
 @pytest.fixture(scope="module", params=[CHAIN2, SEP2, SEP2C, SEP3],
                 ids=["chain2", "sep2", "sep2-complex", "sep3"])
 def data_states(request):
     """A model and data states: the built atlas; all radii reset to 1, so
     that images of incomparable strata overlap; that without the bottom
-    stratum, so that the overlaps are not inside a lower image; and regions
-    cut down to two boxes, one of them away from 0 on every axis."""
+    stratum, so that the overlaps are not inside a lower image; and the
+    two-box data."""
     model = request.param
     built = build_atlas(model).data
     wide = {a: replace(d, epsilon=Fraction(1)) for a, d in built.items()}
-    num_axes = model.strat.m * real_axes(model.field)
-    boxes = (((Fraction(-1, 2), Fraction(1, 2)),) * num_axes,
-             ((Fraction(1, 4), float("inf")),) * num_axes)
-    cut = {a: replace(d, region=Region(a, boxes)) for a, d in wide.items()}
     return model, [built, wide, {a: d for a, d in wide.items() if a != 0},
-                   cut]
+                   two_box_data(model, built)]
 
 
 class TestExactChecks:
@@ -516,18 +533,17 @@ class TestExactChecks:
         k = real_axes(model.field)
         split = 0
         for data in states:
-            terms = {a: _image_terms(model, d) for a, d in data.items()}
+            images = {(a, c): image_region(model, d, c)
+                      for a, d in data.items() for c in s.above(a)}
 
             def in_image(a, reals):
-                # the compiled terms agree with point_in_image at every
+                # the image regions agree with point_in_image at every
                 # point the oracle visits
                 point = to_point(model, reals)
                 want = point_in_image(model, data[a], point)
-                support = s.stratum_of(point)[1]
-                assert want == any(
-                    I & support == I
-                    and all(lo < x < hi for (lo, hi), x in zip(box, reals))
-                    for I, box in terms[a]), (a, reals)
+                c = s.stratum_of(point)[0]
+                assert want == ((a, c) in images and region_contains(
+                    s, model.field, images[a, c], point)), (a, reals)
                 return want
 
             separation, cover = oracles.separation_cover_pointwise(
@@ -558,3 +574,49 @@ class TestExactChecks:
             for w in cover_wit:
                 assert not any(point_in_image(model, d, w)
                                for d in data.values()), w
+
+
+@pytest.mark.parametrize("model", BUILT_MODELS)
+def test_image_region_is_exact(model):
+    """region_contains on image_region agrees with point_in_image at one
+    point of every piece of the cut lines of a datum's image: its term ends,
+    its fiber radii and 0, for the built data and the two-box data."""
+    s, field = model.strat, model.field
+    k = real_axes(field)
+    built = build_atlas(model).data
+    for data in (built, two_box_data(model, built)):
+        for a, d in data.items():
+            images = {c: image_region(model, d, c) for c in s.above(a)}
+            ends = []
+            for ax in range(s.m * k):
+                e = d.epsilon / d.scales[ax // k]
+                ends.append([0, -e, e] + [x for _, box in d.region.terms
+                                          for x in box[ax]])
+            for reals in itertools.product(
+                    *map(oracles._representatives, ends)):
+                point = to_point(model, reals)
+                c = s.stratum_of(point)[0]
+                got = c in images and region_contains(s, field, images[c],
+                                                      point)
+                assert got == point_in_image(model, d, point), (a, reals)
+
+
+def test_image_region_keeps_pieces_apart():
+    # (-3/2, 0) lies on piece {1} of class 1, outside the image of the
+    # origin's chart; no term of the other piece {2} may admit it
+    d = build_atlas(CHAIN2).data[0]
+    point = (Fraction(-3, 2), Fraction(0))
+    assert not point_in_image(CHAIN2, d, point)
+    assert not region_contains(CHAIN2.strat, REAL,
+                               image_region(CHAIN2, d, 1), point)
+
+
+@pytest.mark.parametrize("model", BUILT_MODELS)
+def test_check_compatible_decides_two_box_data(model):
+    """Bounded regions on classes with several supports: the meet of two
+    exact images over a datum's own stratum lies inside its region, so every
+    pair gets a verdict.  The words are the built canonical ones, so every
+    pair is compatible."""
+    data = two_box_data(model, build_atlas(model).data)
+    for d1, d2 in itertools.combinations(data.values(), 2):
+        assert check_compatible(model, d1, d2) is True

@@ -1,0 +1,33 @@
+"""Every name a module imports is referenced in that module."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted([*ROOT.glob("src/strataglue/*.py"),
+                  *ROOT.glob("tests/*.py")])
+
+
+def unused_imports(path):
+    """Imported names of the module that no Name node reads, with lines."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    # an attribute chain such as os.path starts with the Name os
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    found = {path.relative_to(ROOT).as_posix(): unused_imports(path)
+             for path in MODULES}
+    assert len(found) > 10
+    assert {path: names for path, names in found.items() if names} == {}

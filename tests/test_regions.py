@@ -7,8 +7,8 @@ from strataglue.fields import COMPLEX, REAL, real_axes
 from strataglue.gluing_engine import linear_model, region_is_empty
 from strataglue.linear_strata import (LinearStratification,
                                       enumerate_stratifications)
-from strataglue.regions import (INF, Region, _ranked, covered,
-                                region_contains, region_subset,
+from strataglue.regions import (INF, Region, _ranked, boundary_type,
+                                covered, region_contains, region_subset,
                                 uncovered_point)
 
 import oracles
@@ -81,13 +81,18 @@ def test_region_subset_matches_pointwise_oracle(index):
     outcomes = []
     for _ in range(30):
         cls = rng.randrange(strat.num_classes)
-        inner = Region(cls, tuple(random_boxes(rng, num_axes)))
-        outer = Region(cls, tuple(random_boxes(rng, num_axes)))
+
+        def random_terms():
+            return tuple((rng.choice(strat.classes[cls]), box)
+                         for box in random_boxes(rng, num_axes))
+
+        inner = Region(cls, random_terms())
+        outer = Region(cls, random_terms())
         if rng.random() < 0.3:
             outer = inner.union(outer)
         got = region_subset(strat, strat.field, inner, outer)
-        want = oracles.subset_pointwise(set(strat.classes[cls]), strat.m, k,
-                                        list(inner.boxes), list(outer.boxes))
+        want = oracles.subset_pointwise(strat.m, k, list(inner.terms),
+                                        list(outer.terms))
         assert got == want, (cls, inner, outer)
         outcomes.append(got)
     assert True in outcomes and False in outcomes
@@ -110,8 +115,28 @@ def test_point_side_box_is_empty():
     # inside every region
     strat = LinearStratification(2, REAL, ((0,), (1,), (2,), (3,)))
     box = ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(1)))
-    region = Region(3, (box,))
+    region = Region(3, ((3, box),))
     assert not region_contains(strat, REAL, region,
                                (Fraction(3, 2), Fraction(1)))
     assert region_is_empty(linear_model(strat), region)
     assert region_subset(strat, REAL, region, Region(3, ()))
+
+
+def test_term_admits_only_its_own_support():
+    # class 1 of the m = 2 chain has the supports {1} and {2}; a whole-box
+    # term on {1} holds no point of {2}
+    strat = LinearStratification(2, REAL, ((0,), (1, 2), (3,)))
+    full = ((-INF, INF), (-INF, INF))
+    one, two = Region(1, ((1, full),)), Region(1, ((2, full),))
+    assert region_contains(strat, REAL, one, (Fraction(-3, 2), Fraction(0)))
+    assert not region_contains(strat, REAL, one, (Fraction(0), Fraction(1)))
+    assert region_subset(strat, REAL, one, one.union(two))
+    assert not region_subset(strat, REAL, two, one)
+    assert not region_subset(strat, REAL, one.union(two), one)
+    assert region_is_empty(linear_model(strat), one.intersect(two))
+    # the term on {2} keeps away from the zero locus of coordinate 2, and
+    # the whole-box term on {1} does not make up for it
+    away = Region(1, ((2, ((Fraction(-1), Fraction(1)),
+                           (Fraction(1), Fraction(2)))),))
+    assert not boundary_type(strat, REAL, one.union(away))
+    assert boundary_type(strat, REAL, one.union(two))
