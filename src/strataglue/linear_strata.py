@@ -113,14 +113,8 @@ class LinearStratification:
         """
         if a == b or not self.leq(a, b):
             raise OrderError("double normal needs strict order a < b")
-        pieces = []
-        targets = self.normal_stratum(b, b)
-        for I in self.classes[a]:
-            for J in self.classes[b]:
-                if I & J == I:
-                    assert J in targets
-                    pieces.append((I, J))
-        return tuple(pieces)
+        return tuple((I, J) for I in self.classes[a]
+                     for J in self.classes[b] if I & J == I)
 
     def tau_embed(self, a, b, I, point):
         """Include a point of the bundle over class a into the b-stratum.

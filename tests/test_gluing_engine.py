@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -466,6 +467,45 @@ def test_chart_words_keep_the_vector(model):
                 check(induce(model, d, a, img, d.epsilon))
 
 
+def layered_induction(model):
+    """The paper's layered construction, run through the guarded public
+    primitives: per layer, the data induced from every stratum below over
+    its whole chart image are sewed and extended inward, and the radii below
+    are capped at half the collar radius."""
+    s = model.strat
+    data = {}
+    for layer in model.layers:
+        for a in layer:
+            if not data:
+                data[a] = model.canonical_datum(a)
+                continue
+            eps = min(d.epsilon for d in data.values()) / 2
+            below = [g for g in data if s.leq(g, a)]
+            if not below:
+                data[a] = model.canonical_datum(a, epsilon=eps)
+                continue
+            pieces = [induce(model, data[g], a,
+                             image_region(model, data[g], a), eps)
+                      for g in below]
+            sewed = functools.reduce(functools.partial(sew, model), pieces)
+            extended, radius = inward_extend(model, sewed)
+            data[a] = replace(extended, epsilon=eps)
+            for g in below:
+                if data[g].epsilon > radius / 2:
+                    data[g] = replace(data[g], epsilon=radius / 2)
+    return data
+
+
+@pytest.mark.parametrize("model", BUILT_MODELS + [
+    pytest.param(linear_model(chain_stratification(4)), id="chain4")])
+def test_layered_induction_reproduces_build_atlas(model):
+    """build_atlas writes the closed form of the induce, sew, inward_extend
+    chain; the chain's guards (each region inside its chart image, sewed
+    data coinciding, a boundary-type sewed region, agreement on the collar)
+    are checked here, and its data must be build_atlas's exactly."""
+    assert layered_induction(model) == build_atlas(model).data
+
+
 class TestImages:
     def test_image_region_matches_pointwise(self):
         d = CHAIN2.canonical_datum(1, epsilon=Fraction(1, 2))
@@ -574,6 +614,24 @@ class TestExactChecks:
             for w in cover_wit:
                 assert not any(point_in_image(model, d, w)
                                for d in data.values()), w
+
+
+    def test_halving_every_radius_keeps_verdicts(self, data_states):
+        """Halving every radius maps each whole-stratum image by x -> x/2,
+        which keeps every support piece, so neither verdict nor the piece of
+        any witness can change: build_atlas has no reason to halve radii.
+        The two-box state is not a cone and is left out."""
+        model, states = data_states
+        s = model.strat
+
+        def verdicts(data):
+            return [(ok, [s.stratum_of(w)[1] for w in witnesses])
+                    for ok, witnesses in _exact_checks(model, data)]
+
+        for data in states[:3]:
+            halved = {a: replace(d, epsilon=d.epsilon / 2)
+                      for a, d in data.items()}
+            assert verdicts(halved) == verdicts(data)
 
 
 @pytest.mark.parametrize("model", BUILT_MODELS)
