@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .fields import REAL
 from .gluing_engine import build_atlas, linear_model
-from .linear_strata import LinearStratification, indices_of, popcount
+from .linear_strata import LinearStratification, popcount
 from .stable_graphs import GraphClass, automorphism_group, build_poset
 
 
@@ -32,16 +32,6 @@ class EdgeStratification:
     @property
     def num_classes(self):
         return len(self.targets)
-
-    def to_json(self):
-        return {
-            "graph": self.graph_class.describe(),
-            "classes": [{
-                "target": target.describe(),
-                "subsets": [list(indices_of(mask)) for mask in masks],
-            } for target, masks in self.targets],
-            "stratification": self.stratification.to_json(),
-        }
 
 
 def gluing_bundle_rank(gc):

@@ -100,10 +100,6 @@ def zero(field):
     return Fraction(0) if field == REAL else GaussianRational(0)
 
 
-def one(field):
-    return Fraction(1) if field == REAL else GaussianRational(1)
-
-
 def is_zero(x):
     if isinstance(x, GaussianRational):
         return not bool(x)

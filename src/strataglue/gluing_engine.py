@@ -19,13 +19,15 @@ collar radius.  On this model the chain always returns the canonical datum,
 and the collar radius is half the smallest radius below, so build_atlas
 writes that closed form directly (its docstring gives the reasons); the
 tests run the chain through these primitives as the reference build_atlas
-must reproduce.  The report certifies pairwise compatibility, the
-separation of images of incomparable strata, and that the chart images
+must reproduce.  The report certifies pairwise compatibility (on every
+common higher stratum the data induced over the two whole chart images
+coincide: their metrics and words agree, or their regions are disjoint),
+the separation of images of incomparable strata, and that the chart images
 cover the whole space.
 
 Separation and cover are decided exactly, with the same box calculus as
-compatibility.  The image of a chart over a stratum is an exact region of
-support-tagged terms (image_region), so on each support piece both
+that disjointness.  The image of a chart over a stratum is an exact region
+of support-tagged terms (image_region), so on each support piece both
 conditions are covers of cells by the open boxes tagged there, which regions
 decides by coordinate compression over the box corners.  A failing check
 reports one point of an uncovered cell as its witness.
@@ -37,8 +39,8 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .fields import box_abs, from_real_parts, is_zero, real_axes, zero
-from .linear_strata import LinearStratification, OrderError, popcount
+from .fields import box_abs, from_real_parts, real_axes, zero
+from .linear_strata import LinearStratification, OrderError
 from .regions import (Region, _piece_cells, collar, full_box, meet,
                       region_contains, region_subset, uncovered_point,
                       whole_stratum)
@@ -111,14 +113,6 @@ def normalize(word):
     return word
 
 
-def support_mask(vector):
-    mask = 0
-    for i, x in enumerate(vector):
-        if not is_zero(x):
-            mask |= 1 << i
-    return mask
-
-
 def evaluate(strat, word, point):
     """Apply a chart word to a tagged point (chain of supports, vector).
 
@@ -143,8 +137,8 @@ def evaluate(strat, word, point):
                     chain = chain[j:]
                     break
             else:
-                mask = support_mask(vector)
-                if strat.class_of(mask) != c:
+                cls, mask = strat.stratum_of(vector)
+                if cls != c:
                     raise EngineError("no tag of class %d on the chain" % c)
                 chain = (mask,)
             continue
@@ -227,14 +221,6 @@ class StratifiedModel:
     @property
     def field(self):
         return self.strat.field
-
-    def dim(self, a):
-        I = self.strat.classes[a][0]
-        return popcount(I) * real_axes(self.field)
-
-    def fiber_dim(self, a, b):
-        """Dimension of the b-part fibers of the bundle over a."""
-        return self.dim(b) - self.dim(a)
 
     def canonical_datum(self, a, epsilon=Fraction(1), scales=None):
         m = self.strat.m
@@ -477,18 +463,19 @@ def inward_extend(model, datum):
 
 
 def check_compatible(model, d1, d2):
-    """Induced data on every common higher stratum must coincide."""
+    """Induced data on every common higher stratum must coincide.
+
+    On each common stratum b a datum is taken as it is when b is its own
+    stratum, and otherwise induced over its whole chart image over b; the
+    verdict is coincide's, which compares metrics and words first and meets
+    the two regions only when those differ.
+    """
     strat = model.strat
     common = set(strat.above(d1.stratum)) & set(strat.above(d2.stratum))
-    eps = min(d1.epsilon, d2.epsilon) / 2
     for b in sorted(common):
-        W = image_region(model, d1, b).intersect(image_region(model, d2, b))
-        if region_is_empty(model, W):
-            continue
-        # W is a meet of exact images, so it lies inside each datum's image
-        # over b, which on a datum's own stratum is its region
-        e1, e2 = (replace(d, region=W, epsilon=eps) if b == d.stratum
-                  else _induce(model, d, b, W, eps) for d in (d1, d2))
+        e1, e2 = (d if b == d.stratum
+                  else _induce(model, d, b, image_region(model, d, b),
+                               d.epsilon) for d in (d1, d2))
         if not coincide(model, e1, e2):
             return False
     return True

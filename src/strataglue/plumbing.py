@@ -155,13 +155,6 @@ class HorocycleStructure:
     def degree(self):
         return len(self.coefficients)
 
-    def evaluate(self, z):
-        z = complex(z)
-        acc = 0j
-        for a in reversed(self.coefficients):
-            acc = (acc + complex(a)) * z
-        return acc
-
     def certificate_margin(self, delta=None):
         """1 - sum_{k>=2} k |a_k| delta^{k-1}, with |a_k| <= |re| + |im|.
 

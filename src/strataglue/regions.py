@@ -91,14 +91,16 @@ def whole_stratum(strat, field, cls):
 #
 # A cell is a product of intervals, each either open (lo < hi) or a single
 # point (lo == hi).  Boxes are open products.  covered() decides whether the
-# whole cell sits inside the union of the boxes, splitting cells at box
-# corners; termination holds because splits only happen at the finitely many
-# corner values.  It only ever compares two interval ends on one axis, so
-# _ranked() first replaces every end of the cells and boxes of one question
-# by its rank among all those ends on its axis: ranks keep <, <= and ==, the
-# answer is unchanged, and the splitting loop compares small ints instead of
-# Fractions and the float infinities.  A sub-cell that no box meets is
-# mapped back to values through the sorted ends and gives a witness point.
+# whole cell sits inside the union of the boxes: a cell that one box holds is
+# dropped, and a cell that boxes meet but none holds is split at the corners
+# of the first of them; termination holds because splits only happen at the
+# finitely many corner values.  It only ever compares two interval ends on
+# one axis, so _ranked() first replaces every end of the cells and boxes of
+# one question by its rank among all those ends on its axis: ranks keep <,
+# <= and ==, the answer is unchanged, and the splitting loop compares small
+# ints instead of Fractions and the float infinities.  A sub-cell that no
+# box meets is mapped back to values through the sorted ends and gives a
+# witness point.
 
 def _ranked(cells, boxes):
     """Cells and boxes with each interval end replaced by its rank on its axis.
@@ -131,15 +133,17 @@ def covered(cell, boxes):
     stack = [cell]
     while stack:
         c = stack.pop()
-        for b in boxes:
-            for (blo, bhi), (lo, hi) in zip(b, c):
-                if not (blo < lo < bhi if lo == hi else blo < hi and lo < bhi):
-                    break
-            else:
-                break
-        else:
+        meeting = [b for b in boxes if all(
+            blo < lo < bhi if lo == hi else blo < hi and lo < bhi
+            for (blo, bhi), (lo, hi) in zip(b, c))]
+        if not meeting:
             return c
-        # b meets c: split c at the first axis where b does not contain it
+        if any(all(lo == hi or blo <= lo and hi <= bhi
+                   for (blo, bhi), (lo, hi) in zip(b, c)) for b in meeting):
+            continue  # one box holds the whole cell
+        # split c at the first axis where the first meeting box does not
+        # contain it
+        b = meeting[0]
         for ax, ((blo, bhi), (lo, hi)) in enumerate(zip(b, c)):
             if lo == hi or (blo <= lo and hi <= bhi):
                 continue
@@ -150,7 +154,6 @@ def covered(cell, boxes):
             for x in cuts:
                 stack.append(c[:ax] + ((x, x),) + c[ax + 1:])
             break
-        # no break: every axis contained, cell covered by b
     return None
 
 

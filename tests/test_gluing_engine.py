@@ -63,15 +63,9 @@ SEP3 = linear_model(strat(3, [[()], [(1,)], [(2,)], [(3,)],
 class TestLinearModel:
     def test_m1_shape(self):
         assert M1.strat.num_classes == 2
-        assert M1.fiber_dim(0, 1) == 1
-
-    def test_chain2_fiber_dims(self):
-        assert [CHAIN2.fiber_dim(0, b) for b in (0, 1, 2)] == [0, 1, 2]
-        assert CHAIN2.dim(2) == 2
 
     def test_chain3_strata(self):
         assert CHAIN3.strat.num_classes == 4
-        assert [CHAIN3.fiber_dim(a, 3) for a in range(4)] == [3, 2, 1, 0]
 
     def test_layers_bottom_up(self):
         assert CHAIN2.layers == ((0,), (1,), (2,))
@@ -671,10 +665,36 @@ def test_image_region_keeps_pieces_apart():
 
 @pytest.mark.parametrize("model", BUILT_MODELS)
 def test_check_compatible_decides_two_box_data(model):
-    """Bounded regions on classes with several supports: the meet of two
-    exact images over a datum's own stratum lies inside its region, so every
-    pair gets a verdict.  The words are the built canonical ones, so every
-    pair is compatible."""
+    """Bounded regions on classes with several supports still get a verdict.
+    The words are the built canonical ones, so every pair is compatible."""
     data = two_box_data(model, build_atlas(model).data)
     for d1, d2 in itertools.combinations(data.values(), 2):
         assert check_compatible(model, d1, d2) is True
+
+
+@pytest.mark.parametrize("model", BUILT_MODELS)
+def test_check_compatible_needs_disjoint_images_when_metrics_differ(model):
+    """The datum of stratum a gets scales a+1, so no two data share a
+    metric and compatibility rests on the regions alone.  Over whole strata
+    every two images meet on the top stratum: no pair is compatible.  With
+    each term cut to the box (a+1, a+2) on its support axes and left whole
+    off them, the images are disjoint: every pair is compatible."""
+    s = model.strat
+    k = real_axes(model.field)
+
+    def rescaled(d, boxed):
+        a = d.stratum
+        region = d.region
+        if boxed:
+            side = (Fraction(a + 1), Fraction(a + 2))
+            region = Region(a, tuple(
+                (J, tuple(side if J >> (ax // k) & 1 else (-INF, INF)
+                          for ax in range(s.m * k)))
+                for J in s.classes[a]))
+        return replace(d, scales=(Fraction(a + 1),) * s.m, region=region)
+
+    built = build_atlas(model).data
+    for boxed in (False, True):
+        data = [rescaled(d, boxed) for d in built.values()]
+        for d1, d2 in itertools.combinations(data, 2):
+            assert check_compatible(model, d1, d2) is boxed
