@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .fields import box_abs, from_real_parts, real_axes, zero
-from .linear_strata import LinearStratification, OrderError
+from .linear_strata import LinearStratification, OrderError, popcount
 from .regions import (Region, _piece_cells, collar, full_box, meet,
                       region_contains, region_subset, uncovered_point,
                       whole_stratum)
@@ -249,20 +249,18 @@ class StratifiedModel:
 def linear_model(strat):
     """Coordinate model of a stratification, with its layer decomposition.
 
-    Layers peel off the smallest remaining classes.
+    Layer k holds the classes of cardinality k, in index order: these are
+    the layers that peeling off the minimal remaining classes gives.  For I
+    in class a with |I| = k > 0 and i in I, the class of I minus {i} has a
+    support inside I, so by the frontier condition it lies below a; every
+    size 0..m occurs, so once the classes smaller than k are peeled off,
+    the minimal classes left are exactly those of cardinality k.
     """
-    n = strat.num_classes
-    remaining = set(range(n))
-    layers = []
-    while remaining:
-        layer = tuple(sorted(
-            a for a in remaining
-            if not any(strat.leq(b, a) for b in remaining if b != a)))
-        if not layer:
-            raise EngineError("order on classes is not well-founded")
-        layers.append(layer)
-        remaining -= set(layer)
-    return StratifiedModel(strat=strat, layers=tuple(layers))
+    layers = [[] for _ in range(strat.m + 1)]
+    for a, masks in enumerate(strat.classes):
+        layers[popcount(masks[0])].append(a)
+    return StratifiedModel(strat=strat,
+                           layers=tuple(tuple(layer) for layer in layers))
 
 
 @dataclass(frozen=True)

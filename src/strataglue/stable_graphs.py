@@ -273,10 +273,6 @@ class GraphClass:
     key: tuple
     graph: StableGraph = field(compare=False)
 
-    @property
-    def num_edges(self):
-        return self.graph.num_edges
-
     def describe(self):
         return self.graph.describe()
 
@@ -473,9 +469,6 @@ class StrataPoset:
     order: frozenset
     layers: tuple
     top: int
-
-    def leq(self, a, b):
-        return a == b or (a, b) in self.order
 
     def to_json(self):
         return {

@@ -3,10 +3,10 @@
 Everything here is written against the definitions directly, sharing no code
 paths with the package: a naive stable-graph generator with explicit
 permutation-search isomorphism testing, a GF(2) cycle-space rank for the
-first Betti number, a pointwise normal-fiber stratifier on 0/1 grids, a
-pointwise decision of covers by unions of open boxes (and of the separation
-and cover of chart images), and a quadrature for hyperbolic horocycle
-lengths.
+first Betti number, a pointwise normal-fiber stratifier on 0/1 grids, the
+class order and its peeled layers tested on every support, a pointwise
+decision of covers by unions of open boxes (and of the separation and cover
+of chart images), and a quadrature for hyperbolic horocycle lengths.
 """
 
 import itertools
@@ -219,6 +219,33 @@ def pointwise_normal_strata(m, classes, alpha, beta):
                 hits.add(support)
         result[I] = hits
     return result
+
+
+# ---------------------------------------------------------------------------
+# the class order and its layers, from the definition
+
+def containment_order(classes):
+    """le[a][b]: every support of class a lies inside some support of b.
+
+    Supports are bitmasks; every support of a is tested, not just one.
+    """
+    return [[all(any(I & J == I for J in B) for I in A) for B in classes]
+            for A in classes]
+
+
+def peeled_layers(classes):
+    """Layers of the order: repeatedly remove the minimal remaining classes."""
+    le = containment_order(classes)
+    remaining = set(range(len(classes)))
+    layers = []
+    while remaining:
+        layer = tuple(sorted(a for a in remaining
+                             if not any(le[b][a] for b in remaining
+                                        if b != a)))
+        assert layer, "the order has a cycle"
+        layers.append(layer)
+        remaining -= set(layer)
+    return tuple(layers)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,15 @@ class TestGlueRun:
         assert "separation = yes" in out
         assert "cover = yes" in out
 
+    def test_unknown_field_rejected(self, tmp_path):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"m": 1, "field": "X",
+                                    "classes": [[[]], [[1]]]}))
+        code, out, err = run(["glue", "run", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "unknown ground field 'X'" in err
+
     def test_report_file(self, tmp_path):
         path = self.chain_model_path(tmp_path)
         report = tmp_path / "atlas.json"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from strataglue.dm_strata import edge_stratification
 from strataglue.fields import COMPLEX, REAL, from_real_parts, real_axes
 from strataglue.linear_strata import (LinearStratification, OrderError,
                                       chain_stratification,
@@ -35,6 +36,7 @@ from strataglue.gluing_engine import (
 )
 from strataglue.regions import (INF, Region, boundary_type, collar,
                                region_contains, region_subset, whole_stratum)
+from strataglue.stable_graphs import build_poset
 
 import oracles
 
@@ -498,6 +500,44 @@ def test_layered_induction_reproduces_build_atlas(model):
     data coinciding, a boundary-type sewed region, agreement on the collar)
     are checked here, and its data must be build_atlas's exactly."""
     assert layered_induction(model) == build_atlas(model).data
+
+
+def seven_class_m3(axis):
+    """The 7-class m = 3 stratification whose one merged class is the pair
+    of coordinate planes through ``axis``."""
+    planes = [(1, 2), (1, 3), (2, 3)]
+    return strat(3, [[()], [(1,)], [(2,)], [(3,)],
+                     [p for p in planes if axis in p]]
+                 + [[p] for p in planes if axis not in p] + [[(1, 2, 3)]])
+
+
+def edge_stratifications(g, n):
+    distinct = {}
+    for gc in build_poset(g, n).elements:
+        s = edge_stratification(gc).stratification
+        distinct.setdefault(s.classes, s)
+    return list(distinct.values())
+
+
+ORDER_STRATS = (
+    [pytest.param(p.values[0].strat, id=p.id) for p in BUILT_MODELS]
+    + [pytest.param(chain_stratification(4), id="chain4")]
+    + [pytest.param(seven_class_m3(axis), id="m3-7class-%d" % axis)
+       for axis in (1, 2, 3)]
+    + [pytest.param(s, id="edges%d,%d-%d" % (g, n, i))
+       for g, n in ((0, 5), (1, 2), (2, 0), (2, 1))
+       for i, s in enumerate(edge_stratifications(g, n))])
+
+
+@pytest.mark.parametrize("s", ORDER_STRATS)
+def test_order_and_layers_match_all_supports_reference(s):
+    """leq tests one support of a and linear_model reads the layers off
+    cardinality; both must equal the order tested on every support and the
+    layers that peeling its minimal classes gives."""
+    n = s.num_classes
+    assert ([[s.leq(a, b) for b in range(n)] for a in range(n)]
+            == oracles.containment_order(s.classes))
+    assert linear_model(s).layers == oracles.peeled_layers(s.classes)
 
 
 class TestImages:

@@ -9,6 +9,7 @@ from strataglue.linear_strata import (
     LinearStratification,
     OrderError,
     StratificationError,
+    _set_partitions,
     chain_stratification,
     enumerate_stratifications,
     indices_of,
@@ -66,6 +67,32 @@ class TestValidate:
     def test_invalid_construction_rejected(self):
         with pytest.raises(StratificationError):
             strat(2, [[(), (1,)], [(2,), (1, 2)]])
+
+    def test_containment_orders_equal_cardinality_partitions(self):
+        """Why validate checks no order axiom: on every partition of the
+        power set into equal-cardinality classes, frontier condition or not,
+        the all-supports containment relation is already a partial order."""
+        partitions = []
+        for m in (1, 2, 3):
+            levels = []
+            for k in range(m + 1):
+                masks = [mask_of(c) for c in
+                         itertools.combinations(range(1, m + 1), k)]
+                levels.append(list(_set_partitions(masks)))
+            for combo in itertools.product(*levels):
+                classes = tuple(tuple(sorted(g)) for part in combo
+                                for g in part)
+                partitions.append((m, classes))
+        reports = [validate(m, classes) for m, classes in partitions]
+        assert len(partitions) == 28
+        assert sum(not r.ok for r in reports) == 13
+        assert all("closure" in v for r in reports for v in r.violations)
+        for m, classes in partitions:
+            le = oracles.containment_order(classes)
+            n = len(classes)
+            for a, b, c in itertools.product(range(n), repeat=3):
+                assert not (a != b and le[a][b] and le[b][a])
+                assert not (le[a][b] and le[b][c]) or le[a][c]
 
 
 class TestStratumOf:
