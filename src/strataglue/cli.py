@@ -15,12 +15,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .dm_strata import dm_report
-from .fields import COMPLEX, format_scalar, parse_scalar
-from .gluing_engine import StratifiedModel, build_atlas
-from .linear_strata import mask_of, validate
-from .plumbing import PlumbingError, PlumbingFixture, plumb
-from .stable_graphs import build_poset, enumerate_stable_graphs
+# Each handler imports only the layers it runs: a command is a fresh process,
+# and compiling modules it never calls would be most of its start-up time.
 
 
 def _dump(data, stream):
@@ -29,6 +25,7 @@ def _dump(data, stream):
 
 
 def _cmd_graphs(args, out):
+    from .stable_graphs import build_poset, enumerate_stable_graphs
     if args.action == "enumerate":
         classes = enumerate_stable_graphs(args.g, args.n)
         if args.count:
@@ -48,6 +45,7 @@ def _cmd_graphs(args, out):
 
 
 def _cmd_strata_validate(args, out):
+    from .linear_strata import mask_of, validate
     with open(args.file) as fh:
         data = json.load(fh)
     m = int(data["m"])
@@ -60,6 +58,7 @@ def _cmd_strata_validate(args, out):
 
 
 def _cmd_glue_run(args, out):
+    from .gluing_engine import StratifiedModel, build_atlas
     with open(args.model) as fh:
         model = StratifiedModel.from_json(json.load(fh))
     report = build_atlas(model)
@@ -78,6 +77,8 @@ def _cmd_glue_run(args, out):
 
 
 def _cmd_plumb(args, out):
+    from .fields import COMPLEX, format_scalar, parse_scalar
+    from .plumbing import PlumbingFixture, plumb
     t = parse_scalar(COMPLEX, args.t)
     z = parse_scalar(COMPLEX, args.z)
     fixture = PlumbingFixture(t, Fraction(args.delta))
@@ -91,6 +92,7 @@ def _cmd_plumb(args, out):
 
 
 def _cmd_dm_report(args, out):
+    from .dm_strata import dm_report
     report = dm_report(args.g, args.n)
     _dump(report, out)
     return 0 if report["ok"] else 1
@@ -160,8 +162,7 @@ def main(argv=None, out=None, err=None):
         return exc.code if exc.code is not None else 2
     try:
         return _HANDLERS[args.command](args, out)
-    except (PlumbingError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         err.write("error: %s\n" % exc)
         return 1
 

@@ -87,23 +87,11 @@ def normalize(word):
                 continue
             if i + 1 < len(word):
                 q = word[i + 1]
-                if p[0] == "PSI" and q[0] == "GLUE" and q[1] == p[2]:
-                    out.append(glue(p[1]))
-                    i += 2
-                    changed = True
-                    continue
-                if p[0] == "PSI" and q[0] == "PHI" and q[1] == p[2]:
-                    out.append(phi(p[1], q[2]))
-                    i += 2
-                    changed = True
-                    continue
-                if p[0] == "PHI" and q[0] == "PHI" and q[1] == p[2]:
-                    out.append(phi(p[1], q[2]))
-                    i += 2
-                    changed = True
-                    continue
-                if p[0] == "PHI" and q[0] == "GLUE" and q[1] == p[2]:
-                    out.append(glue(p[1]))
+                # p carries points over p[1] to p[2], where q starts: the
+                # pair is q started at p[1], GLUE(p[1]) or PHI(p[1], q[2])
+                if (p[0] in ("PSI", "PHI") and q[0] in ("GLUE", "PHI")
+                        and q[1] == p[2]):
+                    out.append((q[0], p[1]) + q[2:])
                     i += 2
                     changed = True
                     continue
@@ -124,14 +112,15 @@ def evaluate(strat, word, point):
     chain, vector = point
     chain = tuple(chain)
     for p in word:
+        if p[0] not in ("GLUE", "PHI", "PSI"):
+            raise EngineError("unknown primitive %r" % (p,))
+        # every primitive acts on points over the stratum p[1]
+        if not chain or strat.class_of(chain[0]) != p[1]:
+            raise EngineError("point not over stratum %d" % p[1])
         if p[0] == "GLUE":
-            if not chain or strat.class_of(chain[0]) != p[1]:
-                raise EngineError("point not over stratum %d" % p[1])
             return vector
         if p[0] == "PHI":
-            a, c = p[1], p[2]
-            if not chain or strat.class_of(chain[0]) != a:
-                raise EngineError("point not over stratum %d" % a)
+            c = p[2]
             for j, tag in enumerate(chain):
                 if strat.class_of(tag) == c:
                     chain = chain[j:]
@@ -141,16 +130,11 @@ def evaluate(strat, word, point):
                 if cls != c:
                     raise EngineError("no tag of class %d on the chain" % c)
                 chain = (mask,)
-            continue
-        if p[0] == "PSI":
-            b, a, choice = p[1], p[2], dict(p[3])
-            if not chain or strat.class_of(chain[0]) != b:
-                raise EngineError("point not over stratum %d" % b)
+        else:
+            choice = dict(p[3])
             if chain[0] not in choice:
                 raise EngineError("no chosen base tag for this support")
             chain = (choice[chain[0]],) + chain
-            continue
-        raise EngineError("unknown primitive %r" % (p,))
     return chain, vector
 
 
@@ -468,12 +452,17 @@ def check_compatible(model, d1, d2):
     verdict is coincide's, which compares metrics and words first and meets
     the two regions only when those differ.
     """
+    return _compatible(model, d1, d2, lambda d, b: image_region(model, d, b))
+
+
+def _compatible(model, d1, d2, image):
+    """check_compatible, taking each chart image over b from image(d, b)."""
     strat = model.strat
     common = set(strat.above(d1.stratum)) & set(strat.above(d2.stratum))
     for b in sorted(common):
         e1, e2 = (d if b == d.stratum
-                  else _induce(model, d, b, image_region(model, d, b),
-                               d.epsilon) for d in (d1, d2))
+                  else _induce(model, d, b, image(d, b), d.epsilon)
+                  for d in (d1, d2))
         if not coincide(model, e1, e2):
             return False
     return True
@@ -516,25 +505,29 @@ class AtlasReport:
         }
 
 
-def _exact_checks(model, data):
+def _images(model, data):
+    """Each datum's chart image over every stratum at or above its own."""
+    return {(g, c): image_region(model, d, c)
+            for g, d in data.items() for c in model.strat.above(g)}
+
+
+def _exact_checks(model, data, images):
     """Separation and cover of the chart images, decided on support pieces.
 
     On the piece V^[J] of the points with support J, the chart images are
-    the J-tagged terms of their image regions over the class of J, so both
-    questions are covers of cells by open boxes.  Separation: for strata a,
-    b that are incomparable, the cells of the meet of every term of a with
-    every term of b on J must be covered by the terms of their common lower
-    strata.  Cover: the whole piece must be covered by all terms.  Returns
-    ((separation_ok, witnesses), (cover_ok, witnesses)); a witness is a
-    point of an uncovered cell, one per failing pair and piece and one per
-    uncovered piece, in pair-then-piece order.
+    the J-tagged terms of their image regions over the class of J (images,
+    as _images builds them), so both questions are covers of cells by open
+    boxes.  Separation: for strata a, b that are incomparable, the cells of
+    the meet of every term of a with every term of b on J must be covered by
+    the terms of their common lower strata.  Cover: the whole piece must be
+    covered by all terms.  Returns ((separation_ok, witnesses), (cover_ok,
+    witnesses)); a witness is a point of an uncovered cell, one per failing
+    pair and piece and one per uncovered piece, in pair-then-piece order.
     """
     strat = model.strat
     field = model.field
     k = real_axes(field)
     pieces = range(1 << strat.m)
-    images = {(g, c): image_region(model, d, c)
-              for g, d in data.items() for c in strat.above(g)}
 
     def on(J, strata):
         c = strat.class_of(J)
@@ -598,13 +591,12 @@ def build_atlas(model):
                 for g in below:
                     if data[g].epsilon > half:
                         data[g] = replace(data[g], epsilon=half)
-    (sep_ok, sep_wit), (cover_ok, cover_wit) = _exact_checks(model, data)
-    compatible = {}
-    for a in sorted(data):
-        for b in sorted(data):
-            if a < b:
-                compatible[(a, b)] = check_compatible(
-                    model, data[a], data[b])
+    images = _images(model, data)
+    (sep_ok, sep_wit), (cover_ok, cover_wit) = _exact_checks(
+        model, data, images)
+    compatible = {(a, b): _compatible(model, data[a], data[b],
+                                      lambda d, c: images[d.stratum, c])
+                  for a, b in itertools.combinations(sorted(data), 2)}
     return AtlasReport(
         model=model,
         data=data,
@@ -619,4 +611,4 @@ def build_atlas(model):
 
 def verify_cover(model, data):
     """Every point must lie in some chart image: (ok, witnesses)."""
-    return _exact_checks(model, data)[1]
+    return _exact_checks(model, data, _images(model, data))[1]

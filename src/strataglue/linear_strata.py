@@ -204,15 +204,17 @@ def validate(m, classes, field=REAL):
         n = len(classes)
         for a in range(n):
             for b in range(n):
-                if a == b:
-                    continue
-                dominated = [any(I & J == I for J in classes[b])
-                             for I in classes[a]]
-                if any(dominated) and not all(dominated):
+                if a != b and _partially_meets(classes[a], classes[b]):
                     violations.append(
                         "class %d partially meets the closure of class %d"
                         % (a, b))
     return ValidationReport(not violations, tuple(violations))
+
+
+def _partially_meets(A, B):
+    """Some but not all supports of A lie inside a support of B."""
+    dominated = [any(I & J == I for J in B) for I in A]
+    return any(dominated) and not all(dominated)
 
 
 def _set_partitions(items):
@@ -231,8 +233,11 @@ def enumerate_stratifications(m, field=REAL):
 
     Equal cardinality within a class means the classes refine the grouping
     of subsets by size, so the candidates are the products of set partitions
-    of each size level; those violating the frontier condition are dropped.
-    Output order is deterministic.
+    of each size level, built from size 0 up.  The frontier condition only
+    relates a class to one of larger size (distinct supports of one size
+    never nest), so a level's partition is dropped, with every product above
+    it, once one of its classes fails against an earlier level.  Output
+    order is that of the full product, and is deterministic.
     """
     levels = []
     for k in range(m + 1):
@@ -241,15 +246,16 @@ def enumerate_stratifications(m, field=REAL):
         levels.append([
             tuple(sorted(tuple(sorted(g)) for g in part))
             for part in _set_partitions(masks)])
-    for combo in itertools.product(*levels):
-        classes = tuple(sorted(
-            (g for part in combo for g in part),
-            key=lambda g: (popcount(g[0]), g)))
-        try:
-            strat = LinearStratification(m, field, classes)
-        except StratificationError:
-            continue
-        yield strat
+
+    def extend(chosen, k):
+        if k > m:
+            yield LinearStratification(m, field, chosen)
+            return
+        for part in levels[k]:
+            if not any(_partially_meets(A, B) for B in part for A in chosen):
+                yield from extend(chosen + part, k + 1)
+
+    yield from extend((), 0)
 
 
 def matrix_is_invertible(matrix, field=REAL):

@@ -4,7 +4,8 @@ Everything here is written against the definitions directly, sharing no code
 paths with the package: a naive stable-graph generator with explicit
 permutation-search isomorphism testing, a GF(2) cycle-space rank for the
 first Betti number, a pointwise normal-fiber stratifier on 0/1 grids, the
-class order and its peeled layers tested on every support, a pointwise
+class order and its peeled layers tested on every support, every
+stratification by filtering all products of per-size partitions, a pointwise
 decision of covers by unions of open boxes (and of the separation and cover
 of chart images), and a quadrature for hyperbolic horocycle lengths.
 """
@@ -246,6 +247,44 @@ def peeled_layers(classes):
         layers.append(layer)
         remaining -= set(layer)
     return tuple(layers)
+
+
+# ---------------------------------------------------------------------------
+# every stratification, by filtering the full product of per-size partitions
+
+def _set_partitions(items):
+    """Set partitions of a list, in the package's enumeration order."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [first]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def stratifications_by_product(m):
+    """Class tuples of every stratification of K^m, in enumeration order.
+
+    Every product of set partitions of the supports of each size is built,
+    and kept when no class has some, but not all, of its supports inside a
+    support of another class (the frontier condition, tested on every
+    ordered pair of classes).
+    """
+    levels = []
+    for k in range(m + 1):
+        supports = [sum(1 << (i - 1) for i in c)
+                    for c in itertools.combinations(range(1, m + 1), k)]
+        levels.append([tuple(sorted(tuple(sorted(g)) for g in part))
+                       for part in _set_partitions(supports)])
+    found = []
+    for combo in itertools.product(*levels):
+        classes = tuple(g for part in combo for g in part)
+        if all(len({any(I & J == I for J in B) for I in A}) == 1
+               for A in classes for B in classes if A != B):
+            found.append(classes)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from strataglue.cli import main
 from strataglue.gluing_engine import linear_model
@@ -78,6 +84,18 @@ class TestStrataValidate:
         code, _, err = run(["strata", "validate", str(tmp_path / "no.json")])
         assert code == 1
         assert "error:" in err
+
+
+@pytest.mark.parametrize("command", [["strata", "validate"], ["glue", "run"]])
+@pytest.mark.parametrize("data", [[1, 2], {"m": 2, "classes": 5}])
+def test_wrong_json_shape_is_an_error(tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(command + [str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestGlueRun:
@@ -159,3 +177,40 @@ class TestUsage:
     def test_unknown_command(self):
         code, _, _ = run(["frobnicate"])
         assert code == 2
+
+
+# The package modules a fresh interpreter holds after main runs one command.
+IMPORTS_CHILD = """
+import io, sys
+from strataglue.cli import main
+code = main(sys.argv[1:], out=io.StringIO(), err=io.StringIO())
+print(code, *sorted(name[len("strataglue."):] for name in sys.modules
+                    if name.startswith("strataglue.")))
+"""
+
+
+def test_each_command_imports_only_its_layers(tmp_path):
+    strata = tmp_path / "chain1.json"
+    strata.write_text(json.dumps(chain_stratification(1).to_json()))
+    model = tmp_path / "model1.json"
+    model.write_text(json.dumps(
+        linear_model(chain_stratification(1)).to_json()))
+    expected = {
+        ("graphs", "enumerate", "0", "3", "--count"): "stable_graphs",
+        ("strata", "validate", str(strata)): "fields linear_strata",
+        ("glue", "run", str(model)):
+            "fields gluing_engine linear_strata regions",
+        ("plumb", "--t", "0.0625,0", "--delta", "0.5", "--z", "0.25,0"):
+            "fields plumbing",
+        ("dm", "report", "0", "3"):
+            "dm_strata fields gluing_engine linear_strata regions "
+            "stable_graphs",
+    }
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    for argv, layers in expected.items():
+        child = subprocess.run(
+            [sys.executable, "-c", IMPORTS_CHILD, *argv], env=env,
+            capture_output=True, text=True, timeout=60, check=True)
+        assert child.stdout.split() == ["0", "cli", *layers.split()], argv

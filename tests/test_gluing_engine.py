@@ -14,6 +14,7 @@ from strataglue.linear_strata import (LinearStratification, OrderError,
 from strataglue.gluing_engine import (
     EngineError,
     _exact_checks,
+    _images,
     build_atlas,
     check_compatible,
     coincide,
@@ -45,6 +46,10 @@ def strat(m, classes, field=REAL):
     return LinearStratification(
         m, field, tuple(tuple(sorted(mask_of(I) for I in c))
                         for c in classes))
+
+
+def exact_checks(model, data):
+    return _exact_checks(model, data, _images(model, data))
 
 
 def on_every_support(model, cls, *boxes):
@@ -414,7 +419,7 @@ class TestBuildAtlas:
         # chart of the origin nothing lower holds that overlap
         rep = build_atlas(SEP2)
         data = {a: d for a, d in rep.data.items() if a != 0}
-        (ok, witnesses), _ = _exact_checks(SEP2, data)
+        (ok, witnesses), _ = exact_checks(SEP2, data)
         assert not ok and witnesses
         for w in witnesses:
             assert point_in_image(SEP2, data[1], w)
@@ -622,7 +627,7 @@ class TestExactChecks:
 
             separation, cover = oracles.separation_cover_pointwise(
                 s.m * k, k, data, incomparable_pairs(s, data), in_image)
-            (sep_ok, sep_wit), (cover_ok, cover_wit) = _exact_checks(
+            (sep_ok, sep_wit), (cover_ok, cover_wit) = exact_checks(
                 model, data)
             assert sep_ok == (not separation)
             assert cover_ok == (not cover)
@@ -639,7 +644,7 @@ class TestExactChecks:
         model, states = data_states
         for data in states:
             pairs = incomparable_pairs(model.strat, data)
-            (_, sep_wit), (_, cover_wit) = _exact_checks(model, data)
+            (_, sep_wit), (_, cover_wit) = exact_checks(model, data)
             for w in sep_wit:
                 inside = {a for a, d in data.items()
                           if point_in_image(model, d, w)}
@@ -660,7 +665,7 @@ class TestExactChecks:
 
         def verdicts(data):
             return [(ok, [s.stratum_of(w)[1] for w in witnesses])
-                    for ok, witnesses in _exact_checks(model, data)]
+                    for ok, witnesses in exact_checks(model, data)]
 
         for data in states[:3]:
             halved = {a: replace(d, epsilon=d.epsilon / 2)

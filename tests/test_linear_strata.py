@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -273,6 +274,20 @@ class TestEnumeration:
         first = [s.classes for s in enumerate_stratifications(3)]
         second = [s.classes for s in enumerate_stratifications(3)]
         assert first == second
+
+    @pytest.mark.parametrize("m, field", [(m, REAL) for m in range(4)]
+                             + [(m, COMPLEX) for m in range(3)])
+    def test_matches_product_and_filter_reference(self, m, field):
+        found = list(enumerate_stratifications(m, field))
+        assert {s.field for s in found} == {field}
+        assert ([s.classes for s in found]
+                == oracles.stratifications_by_product(m))
+
+    def test_m4_frozen(self):
+        classes = [s.classes for s in enumerate_stratifications(4)]
+        assert len(classes) == 805
+        assert hashlib.sha256(repr(classes).encode()).hexdigest() == (
+            "7b222ebc69504b6629e00d675268daebbf57b64bcfb6f692101cc4e627fa3332")
 
 
 class TestSerialization:
