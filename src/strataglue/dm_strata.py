@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from .fields import REAL
 from .gluing_engine import build_atlas, linear_model
 from .linear_strata import LinearStratification, popcount
-from .stable_graphs import GraphClass, automorphism_group, build_poset
+from .stable_graphs import (GraphClass, _canonical_key, _class_of,
+                            automorphism_group, build_poset)
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,12 @@ def edge_stratification(gc):
     groups = {}
     for mask in range(1 << ne):
         D = {e for e in range(ne) if mask & (1 << e)}
-        target = graph.contract(D).canonical_form()
-        groups.setdefault(target.key, (target, []))[1].append(mask)
+        c = graph.contract(D)
+        groups.setdefault(_canonical_key(c.genera, c.edges, c.tails),
+                          []).append(mask)
     targets = sorted(
-        ((target, tuple(sorted(masks))) for target, masks in groups.values()),
+        ((_class_of(key), tuple(sorted(masks)))
+         for key, masks in groups.items()),
         key=lambda pair: (popcount(pair[1][0]), pair[1]))
     classes = tuple(masks for _, masks in targets)
     strat = LinearStratification(ne, REAL, classes)

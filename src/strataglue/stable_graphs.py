@@ -11,7 +11,10 @@ one node in every possible way (a new loop, or a vertex split in two), level
 by level.  A class with k edges appears at level k, and each degeneration
 found is a cover of the contraction poset, since contracting the new edge
 gives back the class it came from.  One pass thus yields both the classes
-and the poset with its layer decomposition.
+and the poset with its layer decomposition.  The pass keys each candidate
+from its raw parts and builds a graph only for a key not seen before;
+graphs made from valid graphs (contractions, relabelings, class
+representatives) skip the public constructor's checks.
 """
 
 from __future__ import annotations
@@ -147,28 +150,21 @@ class StableGraph:
         for e in D:
             if not 0 <= e < self.num_edges:
                 raise GraphError("edge id %r not in graph" % (e,))
-        nv = self.num_vertices
-        comp_of = _components(nv, [self.edges[e] for e in D])
-        roots = sorted(set(comp_of), key=lambda r: min(
-            v for v in range(nv) if comp_of[v] == r))
-        new_id = {r: i for i, r in enumerate(roots)}
-        size = [0] * len(roots)
-        weight = [0] * len(roots)
-        for v in range(nv):
-            i = new_id[comp_of[v]]
-            size[i] += 1
-            weight[i] += self.genera[v]
-        d_edges = [0] * len(roots)
+        comp_of = _components(self.num_vertices, [self.edges[e] for e in D])
+        new_id = {}  # components numbered by first vertex seen
+        new_of = [new_id.setdefault(r, len(new_id)) for r in comp_of]
+        genera = [1] * len(new_id)
+        for v, i in enumerate(new_of):
+            genera[i] += self.genera[v] - 1
         for e in D:
-            d_edges[new_id[comp_of[self.edges[e][0]]]] += 1
-        genera = tuple(weight[i] + d_edges[i] - size[i] + 1
-                       for i in range(len(roots)))
-        edges = tuple(
-            (new_id[comp_of[u]], new_id[comp_of[v]])
-            for e, (u, v) in enumerate(self.edges) if e not in D
-        )
-        tails = tuple(new_id[comp_of[v]] for v in self.tails)
-        return StableGraph(genera, edges, tails)
+            genera[new_of[self.edges[e][0]]] += 1
+        edges = []
+        for e, (u, v) in enumerate(self.edges):
+            if e not in D:
+                a, b = new_of[u], new_of[v]
+                edges.append((a, b) if a <= b else (b, a))
+        return StableGraph._of(tuple(genera), tuple(edges),
+                               tuple(new_of[v] for v in self.tails))
 
     def surviving_edge_map(self, edge_ids):
         """Old edge id -> new edge id after contracting ``edge_ids``."""
@@ -178,62 +174,30 @@ class StableGraph:
 
     def relabeled(self, perm):
         """Apply a vertex relabeling; ``perm[v]`` is the new id of v."""
+        if sorted(perm) != list(range(self.num_vertices)):
+            raise GraphError("not a vertex permutation: %r" % (perm,))
         genera = [0] * self.num_vertices
         for v, g in enumerate(self.genera):
             genera[perm[v]] = g
-        edges = tuple((perm[u], perm[v]) for u, v in self.edges)
+        edges = tuple((perm[u], perm[v]) if perm[u] <= perm[v]
+                      else (perm[v], perm[u]) for u, v in self.edges)
         tails = tuple(perm[v] for v in self.tails)
-        return StableGraph(tuple(genera), edges, tails)
+        return StableGraph._of(tuple(genera), edges, tails)
 
-    def _vertex_invariants(self):
-        h = self.half_edge_counts()
-        t = self.tail_counts()
-        loops = [0] * self.num_vertices
-        for u, v in self.edges:
-            if u == v:
-                loops[u] += 1
-        tail_labels = [[] for _ in range(self.num_vertices)]
-        for k, v in enumerate(self.tails):
-            tail_labels[v].append(k + 1)
-        return [
-            (self.genera[v], h[v] + t[v], loops[v], tuple(tail_labels[v]))
-            for v in range(self.num_vertices)
-        ]
+    @classmethod
+    def _of(cls, genera, edges, tails):
+        """Unchecked graph from normal-form parts (int tuples, u <= v)."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(genera=genera, edges=edges, tails=tails)
+        return graph
 
     def canonical_form(self):
         """Canonical isomorphism class; tails fixed pointwise.
 
-        Minimizes the serialized form over all vertex orderings that sort
-        vertices by an isomorphism-invariant key, so equal encodings are
-        equivalent to tail-respecting isomorphism.
+        The key is ``_canonical_key`` of the parts; the class graph is the
+        one the key serializes, built without re-validation.
         """
-        inv = self._vertex_invariants()
-        nv = self.num_vertices
-        order = sorted(range(nv), key=lambda v: inv[v])
-        inv_seq = tuple(inv[v] for v in order)
-        groups = []
-        start = 0
-        for i in range(1, nv + 1):
-            if i == nv or inv[order[i]] != inv[order[start]]:
-                groups.append(order[start:i])
-                start = i
-        best = None
-        for arrangement in itertools.product(
-                *(itertools.permutations(g) for g in groups)):
-            flat = [v for g in arrangement for v in g]
-            perm = [0] * nv
-            for new, old in enumerate(flat):
-                perm[old] = new
-            enc_edges = tuple(sorted(
-                (min(perm[u], perm[v]), max(perm[u], perm[v]))
-                for u, v in self.edges))
-            enc_tails = tuple(perm[v] for v in self.tails)
-            cand = (enc_edges, enc_tails)
-            if best is None or cand < best:
-                best = cand
-        key = (nv, inv_seq, best[0], best[1])
-        graph = StableGraph(tuple(i[0] for i in inv_seq), best[0], best[1])
-        return GraphClass(key, graph)
+        return _class_of(_canonical_key(self.genera, self.edges, self.tails))
 
     def to_json(self):
         return {
@@ -246,17 +210,17 @@ class StableGraph:
 
     @classmethod
     def from_json(cls, data):
+        genera = {rec["id"]: rec["genus"] for rec in data["vertices"]}
         nv = len(data["vertices"])
-        genera = [0] * nv
-        for rec in data["vertices"]:
-            genera[rec["id"]] = rec["genus"]
+        if genera.keys() != set(range(nv)):
+            raise GraphError("vertex ids must be 0..nv-1")
         edges = tuple(tuple(rec["ends"]) for rec in data["edges"])
         tails_map = {int(k): v for k, v in data["tails"].items()}
         n = len(tails_map)
         if sorted(tails_map) != list(range(1, n + 1)):
             raise GraphError("tail labels must be 1..n")
         tails = tuple(tails_map[k] for k in range(1, n + 1))
-        return cls(tuple(genera), edges, tails)
+        return cls(tuple(genera[v] for v in range(nv)), edges, tails)
 
     def describe(self):
         """Compact one-line form, stable across runs."""
@@ -275,6 +239,53 @@ class GraphClass:
 
     def describe(self):
         return self.graph.describe()
+
+
+def _vertex_invariants(genera, edges, tails):
+    """Per vertex: genus, valence, loop count and tail labels."""
+    valence = [0] * len(genera)
+    loops = [0] * len(genera)
+    labels = [()] * len(genera)
+    for u, v in edges:
+        valence[u] += 1
+        valence[v] += 1
+        loops[u] += u == v
+    for k, v in enumerate(tails):
+        valence[v] += 1
+        labels[v] += (k + 1,)
+    return list(zip(genera, valence, loops, labels))
+
+
+def _canonical_key(genera, edges, tails):
+    """Canonical encoding of the graph with these parts; tails fixed.
+
+    Minimizes the serialized form over all vertex orderings that sort
+    vertices by an isomorphism-invariant key, so equal encodings are
+    equivalent to tail-respecting isomorphism.  Each edge is read as an
+    unordered pair, so the parts need not be in normal form.
+    """
+    inv = _vertex_invariants(genera, edges, tails)
+    nv = len(genera)
+    order = sorted(range(nv), key=inv.__getitem__)
+    groups = [tuple(grp) for _, grp in
+              itertools.groupby(order, key=inv.__getitem__)]
+    best = None
+    for arrangement in itertools.product(
+            *map(itertools.permutations, groups)):
+        perm = {old: new for new, old in
+                enumerate(itertools.chain(*arrangement))}
+        cand = (tuple(sorted((perm[u], perm[v]) if perm[u] <= perm[v]
+                             else (perm[v], perm[u]) for u, v in edges)),
+                tuple(perm[v] for v in tails))
+        if best is None or cand < best:
+            best = cand
+    return (nv, tuple(inv[v] for v in order)) + best
+
+
+def _class_of(key):
+    """The class a canonical key encodes, with the graph it serializes."""
+    return GraphClass(key, StableGraph._of(tuple(i[0] for i in key[1]),
+                                           key[2], key[3]))
 
 
 @dataclass(frozen=True)
@@ -302,10 +313,14 @@ def automorphism_group(graph):
     """All automorphisms, by brute force over compatible vertex orderings."""
     nv = graph.num_vertices
     ne = graph.num_edges
-    inv = graph._vertex_invariants()
+    inv = _vertex_invariants(graph.genera, graph.edges, graph.tails)
     groups = {}
     for v in range(nv):
         groups.setdefault(inv[v], []).append(v)
+    by_pair = {}
+    for e, (u, v) in enumerate(graph.edges):
+        by_pair.setdefault((u, v), []).append(e)
+    pair_list = list(by_pair.items())
     elements = []
     for images in itertools.product(
             *(itertools.permutations(g) for g in groups.values())):
@@ -315,9 +330,6 @@ def automorphism_group(graph):
                 perm[s] = i
         if any(perm[v] != v for v in graph.tails):
             continue
-        by_pair = {}
-        for e, (u, v) in enumerate(graph.edges):
-            by_pair.setdefault((u, v), []).append(e)
         target = {}
         ok = True
         for (u, v), es in by_pair.items():
@@ -328,7 +340,6 @@ def automorphism_group(graph):
             target[(u, v)] = by_pair[q]
         if not ok:
             continue
-        pair_list = list(by_pair.items())
         for edge_images in itertools.product(
                 *(itertools.permutations(target[p]) for p, _ in pair_list)):
             base = {}
@@ -367,7 +378,7 @@ def automorphism_group(graph):
 
 
 def _degenerations(graph):
-    """Every one-edge degeneration of graph, as stable graphs.
+    """Every one-edge degeneration of graph, as raw (genera, edges, tails).
 
     At each vertex v: add a loop and lower the weight by one, or split v
     into v and a new vertex joined by a new edge, distributing the weight
@@ -381,31 +392,32 @@ def _degenerations(graph):
     nv = len(genera)
     for v, gv in enumerate(genera):
         if gv:
-            yield StableGraph(genera[:v] + (gv - 1,) + genera[v + 1:],
-                              edges + ((v, v),), tails)
+            yield (genera[:v] + (gv - 1,) + genera[v + 1:],
+                   edges + ((v, v),), tails)
         halves = [(e, h) for e, ends in enumerate(edges)
                   for h in (0, 1) if ends[h] == v]
         at_v = [k for k, t in enumerate(tails) if t == v]
         m = len(halves) + len(at_v)
-        for sides in itertools.product((0, 1), repeat=m):
-            if sides and sides[0]:
+        for moved in range(max(m, 1)):
+            weights = [g1 for g1 in range(gv + 1 if m else gv // 2 + 1)
+                       if 2 * (gv - g1) + m - moved >= 2
+                       and 2 * g1 + moved >= 2]
+            if not weights:
                 continue
-            moved = sum(sides)
-            for g1 in range(gv + 1 if m else gv // 2 + 1):
-                if 2 * (gv - g1) + m - moved < 2 or 2 * g1 + moved < 2:
-                    continue
-                new_edges = [list(ends) for ends in edges]
-                for (e, h), side in zip(halves, sides):
-                    if side:
-                        new_edges[e][h] = nv
+            for chosen in itertools.combinations(range(1, m), moved):
+                new_edges = list(edges)
                 new_tails = list(tails)
-                for k, side in zip(at_v, sides[len(halves):]):
-                    if side:
-                        new_tails[k] = nv
-                yield StableGraph(
-                    genera[:v] + (gv - g1,) + genera[v + 1:] + (g1,),
-                    tuple(map(tuple, new_edges)) + ((v, nv),),
-                    tuple(new_tails))
+                for i in chosen:
+                    if i >= len(halves):
+                        new_tails[at_v[i - len(halves)]] = nv
+                    else:
+                        e, h = halves[i]
+                        ends = new_edges[e]
+                        new_edges[e] = ends[:h] + (nv,) + ends[h + 1:]
+                parts = (tuple(new_edges) + ((v, nv),), tuple(new_tails))
+                for g1 in weights:
+                    yield (genera[:v] + (gv - g1,) + genera[v + 1:] + (g1,),
+                           *parts)
 
 
 def _degeneration_pass(g, n):
@@ -427,12 +439,12 @@ def _degeneration_pass(g, n):
     while levels[-1]:
         fresh = []
         for parent in levels[-1]:
-            for child in _degenerations(found[parent].graph):
-                gc = child.canonical_form()
-                if gc.key not in found:
-                    found[gc.key] = gc
-                    fresh.append(gc.key)
-                cover_keys.add((gc.key, parent))
+            for parts in _degenerations(found[parent].graph):
+                key = _canonical_key(*parts)
+                if key not in found:
+                    found[key] = _class_of(key)
+                    fresh.append(key)
+                cover_keys.add((key, parent))
         levels.append(fresh)
     levels.pop()
     elements = tuple(sorted(found.values(), key=lambda c: c.key))
@@ -447,7 +459,7 @@ def enumerate_stable_graphs(g, n):
 
     Enumerates by degeneration from the one-vertex graph: every class is
     reached from a class with one edge fewer by adding a loop or splitting
-    a vertex, and each candidate is canonicalized and deduplicated.
+    a vertex, and each candidate is keyed and deduplicated.
     """
     return _degeneration_pass(g, n)[0]
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 from strataglue.dm_strata import (
     aut_equivariance,
     contraction_functoriality,
@@ -130,3 +133,11 @@ class TestReport:
         before = dict(cache)
         dm_report(1, 1, with_atlas=True, atlas_cache=cache)
         assert cache == before
+
+    def test_frozen_digest(self):
+        # the reports of seven signatures, byte for byte
+        h = hashlib.sha256()
+        for g, n in [(0, 4), (0, 5), (1, 1), (1, 2), (2, 0), (0, 6), (1, 3)]:
+            h.update(json.dumps(dm_report(g, n), sort_keys=True).encode())
+        assert h.hexdigest() == ("772a16de72c605b172ad4fcc58986fdc"
+                                 "8732c6da5e519dee58a5df80dde2064a")

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,9 +15,16 @@ from strataglue.stable_graphs import (
     build_poset,
     enumerate_stable_graphs,
 )
-from strataglue.stable_graphs import _degenerations
+from strataglue.stable_graphs import _canonical_key, _degenerations
 
 import oracles
+
+# the signatures of the benchmark's graphs workload, in its order
+GRAPH_SIGNATURES = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3),
+                    (1, 4), (2, 0), (2, 1), (2, 2), (3, 0)]
+# the acceptance gate's signatures: every one with 3g - 3 + n <= 4
+GATE_SIGNATURES = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+                   (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1)]
 
 
 def G(genera, edges, tails):
@@ -148,6 +158,85 @@ class TestCanonicalForm:
         g = G([0, 1, 0], [(0, 1), (1, 2), (0, 2)], [0, 2])
         assert g.relabeled(perm).canonical_form() == g.canonical_form()
 
+    def test_relabeled_rejects_non_permutation(self):
+        g = G([0, 1, 0], [(0, 1), (1, 2), (0, 2)], [0, 2])
+        for perm in ([0, 0, 1], [0, 1, 3], [-1, 0, 1], [0, 1]):
+            with pytest.raises(GraphError):
+                g.relabeled(perm)
+
+    @pytest.mark.parametrize("g,n", GRAPH_SIGNATURES)
+    def test_key_invariant_and_fixed_point(self, g, n):
+        # the key of scrambled raw parts: vertices relabelled, edges
+        # reordered, endpoints swapped
+        rng = random.Random(100 * g + n)
+        for gc in enumerate_stable_graphs(g, n):
+            rep = gc.graph
+            perm = list(range(rep.num_vertices))
+            rng.shuffle(perm)
+            genera = [0] * rep.num_vertices
+            for v, w in enumerate(rep.genera):
+                genera[perm[v]] = w
+            edges = [(perm[v], perm[u]) if rng.random() < 0.5
+                     else (perm[u], perm[v]) for u, v in rep.edges]
+            rng.shuffle(edges)
+            tails = tuple(perm[v] for v in rep.tails)
+            assert _canonical_key(tuple(genera), tuple(edges), tails) \
+                == gc.key
+            again = rep.canonical_form()
+            assert again == gc and again.graph == rep
+
+    def test_frozen_digest(self):
+        # classes and posets of the benchmark signatures, byte for byte
+        h = hashlib.sha256()
+        for g, n in GRAPH_SIGNATURES:
+            h.update(repr([(c.key, c.graph.genera, c.graph.edges,
+                            c.graph.tails)
+                           for c in enumerate_stable_graphs(g, n)]).encode())
+            h.update(json.dumps(build_poset(g, n).to_json(),
+                                sort_keys=True).encode())
+        assert h.hexdigest() == ("6cf35b57a65e4a4de76f0847cdd85382"
+                                 "457c353ffe2885d630a55fee72b1310f")
+
+
+def assert_as_public(graph):
+    """A graph built unchecked equals the validating constructor's, with
+    the same field tuples (normal form: ints, each edge with u <= v)."""
+    public = StableGraph(graph.genera, graph.edges, graph.tails)
+    assert graph == public
+    for name in ("genera", "edges", "tails"):
+        field = getattr(graph, name)
+        assert type(field) is tuple
+        assert repr(field) == repr(getattr(public, name))
+
+
+class TestPrivateConstructor:
+    @pytest.mark.parametrize("g,n", GATE_SIGNATURES)
+    def test_contract_matches_public(self, g, n):
+        for gc in enumerate_stable_graphs(g, n):
+            ne = gc.graph.num_edges
+            for mask in range(1 << ne):
+                assert_as_public(gc.graph.contract(
+                    {e for e in range(ne) if mask >> e & 1}))
+
+    @pytest.mark.parametrize("g,n", GATE_SIGNATURES)
+    def test_relabeled_and_canonical_match_public(self, g, n):
+        rng = random.Random(10 * g + n)
+        for gc in enumerate_stable_graphs(g, n):
+            assert_as_public(gc.graph)
+            perm = list(range(gc.graph.num_vertices))
+            rng.shuffle(perm)
+            moved = gc.graph.relabeled(perm)
+            assert_as_public(moved)
+            assert_as_public(moved.canonical_form().graph)
+
+    def test_contract_normalises_edges(self):
+        # contracting edge 0 merges vertices 0 and 2, so edge (1, 2)
+        # becomes (1, 0) before it is normalised
+        g = G([0, 0, 0], [(0, 2), (1, 2), (0, 1)], [0, 1, 1, 2])
+        c = g.contract({0})
+        assert c.edges == ((0, 1), (0, 1))
+        assert_as_public(c)
+
 
 class TestAutomorphisms:
     def test_rigid_three_pointed_sphere(self):
@@ -280,6 +369,21 @@ class TestSerialization:
     def test_json_roundtrip(self):
         g = G([1, 0], [(0, 1), (1, 1)], [0, 1])
         assert StableGraph.from_json(g.to_json()) == g
+
+    @pytest.mark.parametrize("g,n", GRAPH_SIGNATURES)
+    def test_json_roundtrip_every_class(self, g, n):
+        for gc in enumerate_stable_graphs(g, n):
+            back = StableGraph.from_json(gc.graph.to_json())
+            assert back == gc.graph
+            assert back.canonical_form() == gc
+
+    @pytest.mark.parametrize("ids", [[-1, 1], [0, 0], [0, 2], [1, 2]])
+    def test_bad_vertex_ids_rejected(self, ids):
+        data = G([1, 0], [(0, 1), (1, 1)], [0, 1]).to_json()
+        for rec, v in zip(data["vertices"], ids):
+            rec["id"] = v
+        with pytest.raises(GraphError, match="vertex ids"):
+            StableGraph.from_json(data)
 
     def test_dot_contains_dimensions(self):
         dot = build_poset(1, 1).to_dot()
