@@ -135,7 +135,7 @@ def dm_report(g, n, with_atlas=True, atlas_cache=None):
 
     The atlas feed runs the gluing engine on the induced stratification of
     each class; since the outcome depends only on the stratification, the
-    runs are cached by its class data.
+    runs are cached by its field and class data.
     """
     poset = build_poset(g, n)
     if atlas_cache is None:
@@ -157,7 +157,7 @@ def dm_report(g, n, with_atlas=True, atlas_cache=None):
             "equivariance": aut_rep["ok"],
         }
         if with_atlas:
-            key = es.stratification.classes
+            key = (es.stratification.field, es.stratification.classes)
             if key not in atlas_cache:
                 report = build_atlas(linear_model(es.stratification))
                 atlas_cache[key] = (report.all_compatible,

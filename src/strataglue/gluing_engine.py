@@ -28,9 +28,9 @@ cover the whole space.
 Separation and cover are decided exactly, with the same box calculus as
 that disjointness.  The image of a chart over a stratum is an exact region
 of support-tagged terms (image_region), so on each support piece both
-conditions are covers of cells by the open boxes tagged there, which regions
-decides by coordinate compression over the box corners.  A failing check
-reports one point of an uncovered cell as its witness.
+conditions are covers of cells by the open boxes tagged there, decided on
+the ranks of the box corners.  A failing check reports one point of an
+uncovered cell as its witness.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from fractions import Fraction
 
 from .fields import box_abs, from_real_parts, real_axes, zero
 from .linear_strata import LinearStratification, OrderError, popcount
-from .regions import (Region, _piece_cells, collar, full_box, meet,
-                      region_contains, region_subset, uncovered_point,
+from .regions import (Region, _piece_cells, _ranking, collar, full_box,
+                      meet, region_contains, region_subset, uncovered_point,
                       whole_stratum)
 
 
@@ -311,25 +311,29 @@ def image_region(model, datum, b):
     image points whose support J contains I, so it is tagged with every such
     J in class b.
     """
-    strat = model.strat
-    if not strat.leq(datum.stratum, b):
+    if not model.strat.leq(datum.stratum, b):
         raise OrderError("stratum %d is not above %d" % (b, datum.stratum))
+    return Region(b, _image_terms(model, datum.region.terms,
+                                  _fibre(model, datum), b))
+
+
+def _fibre(model, datum):
+    """The box (-epsilon/scale, epsilon/scale) on every real axis."""
+    return tuple((-e, e) for s in datum.scales
+                 for e in [datum.epsilon / s] * real_axes(model.field))
+
+
+def _image_terms(model, terms, fibre, b):
+    """The terms of image_region from region terms and a fibre box, all in
+    values or all in signed ranks (0 ranks 0)."""
     k = real_axes(model.field)
-    terms = []
-    for I, B in datum.region.terms:
-        box = []
-        for ax, (lo, hi) in enumerate(B):
-            c = ax // k
-            if I >> c & 1:
-                box.append((lo, hi))
-            elif lo < 0 < hi:
-                e = datum.epsilon / datum.scales[c]
-                box.append((-e, e))
-            else:
-                break
-        else:
-            terms += [(J, tuple(box)) for J in strat.classes[b] if I & J == I]
-    return Region(b, tuple(dict.fromkeys(terms)))
+    out = []
+    for I, B in terms:
+        own = [I >> (ax // k) & 1 for ax in range(len(B))]
+        if all(o or lo < 0 < hi for o, (lo, hi) in zip(own, B)):
+            box = tuple(side if o else f for o, side, f in zip(own, B, fibre))
+            out += [(J, box) for J in model.strat.classes[b] if I & J == I]
+    return tuple(dict.fromkeys(out))
 
 
 def region_is_empty(model, region):
@@ -505,37 +509,41 @@ class AtlasReport:
         }
 
 
-def _images(model, data):
-    """Each datum's chart image over every stratum at or above its own."""
-    return {(g, c): image_region(model, d, c)
-            for g, d in data.items() for c in model.strat.above(g)}
-
-
-def _exact_checks(model, data, images):
+def _exact_checks(model, data):
     """Separation and cover of the chart images, decided on support pieces.
 
     On the piece V^[J] of the points with support J, the chart images are
-    the J-tagged terms of their image regions over the class of J (images,
-    as _images builds them), so both questions are covers of cells by open
-    boxes.  Separation: for strata a, b that are incomparable, the cells of
-    the meet of every term of a with every term of b on J must be covered by
-    the terms of their common lower strata.  Cover: the whole piece must be
-    covered by all terms.  Returns ((separation_ok, witnesses), (cover_ok,
-    witnesses)); a witness is a point of an uncovered cell, one per failing
-    pair and piece and one per uncovered piece, in pair-then-piece order.
+    the J-tagged terms of their image regions over the class of J, so both
+    questions are covers of cells by open boxes.  Separation: for strata a,
+    b that are incomparable, the cells of the meet of every term of a with
+    every term of b on J must be covered by the terms of their common lower
+    strata.  Cover: the whole piece must be covered by all terms.  Returns
+    ((separation_ok, witnesses), (cover_ok, witnesses)); a witness is a
+    point of an uncovered cell, one per failing pair and piece and one per
+    uncovered piece, in pair-then-piece order.  Every image end is an end
+    of a region term or a fibre: those are ranked once and the image terms
+    built in ranks, so every question runs on ints.
     """
-    strat = model.strat
-    field = model.field
+    strat, field = model.strat, model.field
     k = real_axes(field)
-    pieces = range(1 << strat.m)
+    num_axes = strat.m * k
+    fibres = {g: _fibre(model, d) for g, d in data.items()}
+    rank, values = _ranking(
+        [B for d in data.values() for _, B in d.region.terms]
+        + list(fibres.values()), num_axes)
+    tagged = {}  # (stratum, support J) -> the ranked image boxes on J
+    for g, d in data.items():
+        terms = [(I, rank(B)) for I, B in d.region.terms]
+        fibre = rank(fibres[g])
+        for c in strat.above(g):
+            for J, box in _image_terms(model, terms, fibre, c):
+                tagged.setdefault((g, J), []).append(box)
 
     def on(J, strata):
-        c = strat.class_of(J)
-        return [box for g in strata if (g, c) in images
-                for box in images[g, c].on(J)]
+        return [box for g in strata for box in tagged.get((g, J), ())]
 
     def witness(cells, boxes):
-        point = uncovered_point(cells, boxes)
+        point = uncovered_point(cells, boxes, values)
         if point is not None:
             return tuple(from_real_parts(field, point[k * c:k * c + k])
                          for c in range(strat.m))
@@ -546,13 +554,13 @@ def _exact_checks(model, data, images):
         if strat.leq(a, b) or strat.leq(b, a):
             continue
         lower = [g for g in data if strat.leq(g, a) and strat.leq(g, b)]
-        for J in pieces:
+        for J in range(1 << strat.m):
             cells = [c for B1 in on(J, (a,)) for B2 in on(J, (b,))
                      for c in _piece_cells(strat, field, J, meet(B1, B2))]
             separation.append(witness(cells, on(J, lower)))
-    full = full_box(strat.m * k)
+    full = rank(full_box(num_axes))
     cover = [witness(_piece_cells(strat, field, J, full), on(J, data))
-             for J in pieces]
+             for J in range(1 << strat.m)]
     separation = tuple(w for w in separation if w is not None)
     cover = tuple(w for w in cover if w is not None)
     return (not separation, separation), (not cover, cover)
@@ -591,9 +599,9 @@ def build_atlas(model):
                 for g in below:
                     if data[g].epsilon > half:
                         data[g] = replace(data[g], epsilon=half)
-    images = _images(model, data)
-    (sep_ok, sep_wit), (cover_ok, cover_wit) = _exact_checks(
-        model, data, images)
+    (sep_ok, sep_wit), (cover_ok, cover_wit) = _exact_checks(model, data)
+    images = {(g, c): image_region(model, d, c)
+              for g, d in data.items() for c in strat.above(g)}
     compatible = {(a, b): _compatible(model, data[a], data[b],
                                       lambda d, c: images[d.stratum, c])
                   for a, b in itertools.combinations(sorted(data), 2)}
@@ -611,4 +619,4 @@ def build_atlas(model):
 
 def verify_cover(model, data):
     """Every point must lie in some chart image: (ok, witnesses)."""
-    return _exact_checks(model, data, _images(model, data))[1]
+    return _exact_checks(model, data)[1]

@@ -95,36 +95,29 @@ def whole_stratum(strat, field, cls):
 # dropped, and a cell that boxes meet but none holds is split at the corners
 # of the first of them; termination holds because splits only happen at the
 # finitely many corner values.  It only ever compares two interval ends on
-# one axis, so _ranked() first replaces every end of the cells and boxes of
-# one question by its rank among all those ends on its axis: ranks keep <,
-# <= and ==, the answer is unchanged, and the splitting loop compares small
-# ints instead of Fractions and the float infinities.  A sub-cell that no
-# box meets is mapped back to values through the sorted ends and gives a
-# witness point.
+# one axis, so _ranking() replaces each end by its signed rank: its index
+# among the axis's ends, 0 and +/-INF included, minus the index of 0.  Ranks
+# keep <, <= and ==, and 0 ranks 0, so meet, _piece_cells and split_nonzero
+# commute with ranking, and the splitting loop compares small ints instead
+# of Fractions and the float infinities.  One ranking serves every question
+# on the same ends, so one atlas build ranks once.  Only a sub-cell that no
+# box meets is mapped back to values, and gives a witness point.
 
-def _ranked(cells, boxes):
-    """Cells and boxes with each interval end replaced by its rank on its axis.
+def _ranking(boxes, num_axes):
+    """Signed ranks of the interval ends of the boxes: rank maps a box or
+    cell with ends among these to its ranks, and values[ax][r] is the end
+    of rank r on axis ax."""
+    ranks, values = [], []
+    for ax in range(num_axes):
+        ends = sorted({Fraction(0), -INF, INF}.union(
+            x for box in boxes for x in box[ax]))
+        values.append(dict(enumerate(ends, -ends.index(0))))
+        ranks.append({x: r for r, x in values[-1].items()})
 
-    Also returns each axis's sorted ends, so rank r on axis ax stands for
-    ends[ax][r].  Boxes that are empty on some axis meet no cell and are
-    dropped.
-    """
-    if not cells:
-        return [], [], []
-    ends = []
-    ranks = []
-    for ax in range(len(cells[0])):
-        axis_ends = {x for c in cells for x in c[ax]}
-        axis_ends.update(x for b in boxes for x in b[ax])
-        ends.append(sorted(axis_ends))
-        ranks.append({x: i for i, x in enumerate(ends[-1])})
+    def rank(box):
+        return tuple((r[lo], r[hi]) for r, (lo, hi) in zip(ranks, box))
 
-    def rank(c):
-        return tuple((r[lo], r[hi]) for r, (lo, hi) in zip(ranks, c))
-
-    return ([rank(c) for c in cells],
-            [rank(b) for b in boxes if all(lo < hi for lo, hi in b)],
-            ends)
+    return rank, values
 
 
 def covered(cell, boxes):
@@ -166,17 +159,21 @@ def _inside(lo, hi):
     return lo + 1 if hi == INF else (lo + hi) / 2
 
 
-def uncovered_point(cells, boxes):
+def uncovered_point(cells, boxes, values=None):
     """A point of the cells outside the union of the open boxes, or None.
 
-    The point is given by its real coordinates, one per axis.
+    The point is given by its real coordinates, one per axis.  Cells and
+    boxes are values, or signed ranks with values[ax][rank] the end.
     """
-    cells, boxes, ends = _ranked(cells, boxes)
+    if values is None and cells:
+        rank, values = _ranking(cells + boxes, len(cells[0]))
+        cells, boxes = [rank(c) for c in cells], [rank(b) for b in boxes]
+    boxes = [b for b in boxes if all(lo < hi for lo, hi in b)]
     for c in cells:
         gap = covered(c, boxes)
         if gap is not None:
-            return tuple(_inside(e[lo], e[hi])
-                         for e, (lo, hi) in zip(ends, gap))
+            return tuple(_inside(v[lo], v[hi])
+                         for v, (lo, hi) in zip(values, gap))
     return None
 
 
@@ -185,26 +182,20 @@ def split_nonzero(cell, axis_groups):
     nonzero.
 
     axis_groups lists, per constrained coordinate, its tuple of real axes.
-    A real coordinate splits into the negative and positive parts; a complex
-    one keeps the off-axis parts plus the punctured imaginary axis.
+    A real coordinate splits into its negative and positive parts; a complex
+    one splits its real part likewise, plus its imaginary part over real 0.
     """
     cells = [tuple(cell)]
     for axes in axis_groups:
+        a = axes[0]
         nxt = []
         for c in cells:
-            if len(axes) == 1:
-                a = axes[0]
-                for piece in _punctured(c[a]):
-                    nxt.append(c[:a] + (piece,) + c[a + 1:])
-            else:
-                a0, a1 = axes
-                re_iv, im_iv = c[a0], c[a1]
-                for piece in _punctured(re_iv):
-                    nxt.append(c[:a0] + (piece,) + c[a0 + 1:])
-                if re_iv[0] < 0 < re_iv[1]:
-                    mid = c[:a0] + ((Fraction(0), Fraction(0)),) + c[a0 + 1:]
-                    for piece in _punctured(im_iv):
-                        nxt.append(mid[:a1] + (piece,) + mid[a1 + 1:])
+            for piece in _punctured(c[a]):
+                nxt.append(c[:a] + (piece,) + c[a + 1:])
+            if len(axes) == 2 and c[a][0] < 0 < c[a][1]:
+                b, mid = axes[1], c[:a] + ((0, 0),) + c[a + 1:]
+                for piece in _punctured(c[b]):
+                    nxt.append(mid[:b] + (piece,) + mid[b + 1:])
         cells = nxt
     return cells
 
@@ -214,9 +205,9 @@ def _punctured(iv):
     lo, hi = iv
     out = []
     if lo < 0:
-        out.append((lo, min(hi, Fraction(0))))
+        out.append((lo, min(hi, 0)))
     if hi > 0:
-        out.append((max(lo, Fraction(0)), hi))
+        out.append((max(lo, 0), hi))
     return out
 
 
@@ -249,7 +240,7 @@ def _piece_cells(strat, field, mask, box):
                 lo, hi = cell[a]
                 if not lo < 0 < hi:
                     return []
-                cell[a] = (Fraction(0), Fraction(0))
+                cell[a] = (0, 0)
     return split_nonzero(cell, [axes_of(field, i) for i in indices_of(mask)])
 
 

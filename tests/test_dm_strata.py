@@ -9,6 +9,7 @@ from strataglue.dm_strata import (
     gluing_bundle_rank,
     verify_dimension_matching,
 )
+from strataglue.fields import REAL
 from strataglue.linear_strata import popcount, validate
 from strataglue.stable_graphs import StableGraph, enumerate_stable_graphs
 
@@ -133,6 +134,9 @@ class TestReport:
         before = dict(cache)
         dm_report(1, 1, with_atlas=True, atlas_cache=cache)
         assert cache == before
+        # keyed by field as well as classes: the same classes over C are a
+        # different model
+        assert all(field == REAL for field, _ in cache)
 
     def test_frozen_digest(self):
         # the reports of seven signatures, byte for byte

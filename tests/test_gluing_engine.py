@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,11 +12,11 @@ from strataglue.dm_strata import edge_stratification
 from strataglue.fields import COMPLEX, REAL, from_real_parts, real_axes
 from strataglue.linear_strata import (LinearStratification, OrderError,
                                       chain_stratification,
-                                      enumerate_stratifications, mask_of)
+                                      enumerate_stratifications, mask_of,
+                                      popcount)
 from strataglue.gluing_engine import (
     EngineError,
     _exact_checks,
-    _images,
     build_atlas,
     check_compatible,
     coincide,
@@ -46,10 +48,6 @@ def strat(m, classes, field=REAL):
     return LinearStratification(
         m, field, tuple(tuple(sorted(mask_of(I) for I in c))
                         for c in classes))
-
-
-def exact_checks(model, data):
-    return _exact_checks(model, data, _images(model, data))
 
 
 def on_every_support(model, cls, *boxes):
@@ -419,7 +417,7 @@ class TestBuildAtlas:
         # chart of the origin nothing lower holds that overlap
         rep = build_atlas(SEP2)
         data = {a: d for a, d in rep.data.items() if a != 0}
-        (ok, witnesses), _ = exact_checks(SEP2, data)
+        (ok, witnesses), _ = _exact_checks(SEP2, data)
         assert not ok and witnesses
         for w in witnesses:
             assert point_in_image(SEP2, data[1], w)
@@ -594,15 +592,19 @@ def two_box_data(model, data):
 @pytest.fixture(scope="module", params=[CHAIN2, SEP2, SEP2C, SEP3],
                 ids=["chain2", "sep2", "sep2-complex", "sep3"])
 def data_states(request):
-    """A model and data states: the built atlas; all radii reset to 1, so
+    """A model and its states_of."""
+    return request.param, states_of(request.param)
+
+
+def states_of(model):
+    """Data states of a model: the built atlas; all radii reset to 1, so
     that images of incomparable strata overlap; that without the bottom
     stratum, so that the overlaps are not inside a lower image; and the
     two-box data."""
-    model = request.param
     built = build_atlas(model).data
     wide = {a: replace(d, epsilon=Fraction(1)) for a, d in built.items()}
-    return model, [built, wide, {a: d for a, d in wide.items() if a != 0},
-                   two_box_data(model, built)]
+    return [built, wide, {a: d for a, d in wide.items() if a != 0},
+            two_box_data(model, built)]
 
 
 class TestExactChecks:
@@ -627,7 +629,7 @@ class TestExactChecks:
 
             separation, cover = oracles.separation_cover_pointwise(
                 s.m * k, k, data, incomparable_pairs(s, data), in_image)
-            (sep_ok, sep_wit), (cover_ok, cover_wit) = exact_checks(
+            (sep_ok, sep_wit), (cover_ok, cover_wit) = _exact_checks(
                 model, data)
             assert sep_ok == (not separation)
             assert cover_ok == (not cover)
@@ -644,7 +646,7 @@ class TestExactChecks:
         model, states = data_states
         for data in states:
             pairs = incomparable_pairs(model.strat, data)
-            (_, sep_wit), (_, cover_wit) = exact_checks(model, data)
+            (_, sep_wit), (_, cover_wit) = _exact_checks(model, data)
             for w in sep_wit:
                 inside = {a for a, d in data.items()
                           if point_in_image(model, d, w)}
@@ -665,7 +667,7 @@ class TestExactChecks:
 
         def verdicts(data):
             return [(ok, [s.stratum_of(w)[1] for w in witnesses])
-                    for ok, witnesses in exact_checks(model, data)]
+                    for ok, witnesses in _exact_checks(model, data)]
 
         for data in states[:3]:
             halved = {a: replace(d, epsilon=d.epsilon / 2)
@@ -743,3 +745,45 @@ def test_check_compatible_needs_disjoint_images_when_metrics_differ(model):
         data = [rescaled(d, boxed) for d in built.values()]
         for d1, d2 in itertools.combinations(data, 2):
             assert check_compatible(model, d1, d2) is boxed
+
+
+def all_singleton(m, field):
+    """The stratification with one class per support, smallest first."""
+    return LinearStratification(m, field, tuple(
+        (J,) for J in sorted(range(1 << m), key=lambda J: (popcount(J), J))))
+
+
+@pytest.mark.parametrize("m,field", [(4, COMPLEX), (5, REAL)])
+def test_all_singleton_atlas_certified(m, field):
+    """The largest models tier-1 builds: 16 strata over C^4 (8 real axes)
+    and 32 over R^5."""
+    rep = build_atlas(linear_model(all_singleton(m, field)))
+    assert rep.all_compatible and rep.separation_ok and rep.cover_ok
+
+
+# sha256 of pinned_outputs() as the rank-per-question region calculus
+# produced it; a faster exact-check path must reproduce it byte for byte
+PINNED_OUTPUTS_SHA256 = (
+    "1c9434960533a989dcdddaed1eb342a9cff6d9ea7c6d1994f7bcb0702c377f00")
+
+
+def pinned_outputs():
+    """The report of every atlas-layer model (the real m <= 3 and complex
+    m <= 2 models, chain(4) and the three m3-7class relabellings), and the
+    exact-check verdicts and witnesses of each of its data states."""
+    models = ([p.values[0] for p in BUILT_MODELS]
+              + [linear_model(chain_stratification(4))]
+              + [linear_model(seven_class_m3(axis)) for axis in (1, 2, 3)])
+    records = []
+    for model in models:
+        records.append(build_atlas(model).to_json())
+        for data in states_of(model):
+            records.append([[ok, [[str(x) for x in w] for w in witnesses]]
+                            for ok, witnesses in _exact_checks(model, data)])
+    return json.dumps(records, sort_keys=True).encode()
+
+
+def test_atlas_outputs_match_pinned_digest():
+    assert len(BUILT_MODELS) == 18
+    digest = hashlib.sha256(pinned_outputs()).hexdigest()
+    assert digest == PINNED_OUTPUTS_SHA256

@@ -7,8 +7,9 @@ from strataglue.fields import COMPLEX, REAL, real_axes
 from strataglue.gluing_engine import linear_model, region_is_empty
 from strataglue.linear_strata import (LinearStratification,
                                       enumerate_stratifications)
-from strataglue.regions import (INF, Region, _ranked, boundary_type,
-                                covered, region_contains, region_subset,
+from strataglue.regions import (INF, Region, _piece_cells, _ranking,
+                                boundary_type, covered, meet,
+                                region_contains, region_subset,
                                 uncovered_point)
 
 import oracles
@@ -46,8 +47,9 @@ def test_covered_matches_pointwise_oracle():
         cell = tuple(random_interval(rng, point_ok=True)
                      for _ in range(num_axes))
         boxes = random_boxes(rng, num_axes)
-        (ranked_cell,), ranked_boxes, ends = _ranked([cell], boxes)
-        gap = covered(ranked_cell, ranked_boxes)
+        rank, ends = _ranking([cell] + boxes, num_axes)
+        gap = covered(rank(cell), [rank(b) for b in boxes
+                                   if all(lo < hi for lo, hi in b)])
         want = oracles.covered_pointwise(cell, boxes)
         assert (gap is None) == want, (cell, boxes)
         if gap is not None:
@@ -102,12 +104,48 @@ def test_ranks_keep_order_on_each_axis():
     cell = ((Fraction(0), Fraction(0)), (-INF, Fraction(1, 2)))
     boxes = [((Fraction(-1), Fraction(1)), (Fraction(1, 2), INF)),
              ((Fraction(2), Fraction(2)), (-INF, INF))]
-    (ranked_cell,), ranked_boxes, ends = _ranked([cell], boxes)
-    assert ranked_cell == ((1, 1), (0, 1))
-    # the box that is a single point on axis 0 is empty and dropped
-    assert ranked_boxes == [((0, 2), (1, 2))]
-    assert ends == [[Fraction(-1), Fraction(0), Fraction(1), Fraction(2)],
-                    [-INF, Fraction(1, 2), INF]]
+    rank, values = _ranking([cell] + boxes, 2)
+    # 0 and +/-INF are ends of every axis, and 0 ranks 0
+    assert rank(cell) == ((0, 0), (-1, 1))
+    assert [rank(b) for b in boxes] == [((-1, 1), (1, 2)), ((2, 2), (-1, 2))]
+    assert values == [
+        {-2: -INF, -1: Fraction(-1), 0: 0, 1: Fraction(1), 2: Fraction(2),
+         3: INF},
+        {-1: -INF, 0: 0, 1: Fraction(1, 2), 2: INF}]
+    # the box that is a single point on axis 0 is empty and holds nothing
+    assert uncovered_point([cell], boxes) == (0, Fraction(-1, 2))
+
+
+RANK_STRATS = STRATS + list(enumerate_stratifications(2, COMPLEX))
+
+
+@pytest.mark.parametrize("index", range(len(RANK_STRATS)))
+def test_build_ranks_commute_with_cell_operations(index):
+    """Ranks taken once over every box of a build give the ranked cells of
+    the meets of its boxes on each support piece, and the same gap values
+    as ranks taken per question."""
+    strat = RANK_STRATS[index]
+    field = strat.field
+    num_axes = strat.m * real_axes(field)
+    rng = random.Random(300 + index)
+    outcomes = []
+    for _ in range(60):
+        boxes = random_boxes(rng, num_axes) + random_boxes(rng, num_axes)
+        if not boxes:
+            continue
+        rank, values = _ranking(boxes, num_axes)
+        J = rng.randrange(1 << strat.m)
+        B1 = rng.choice(boxes)
+        B2 = B1 if rng.random() < 0.5 else rng.choice(boxes)
+        cells = _piece_cells(strat, field, J, meet(B1, B2))
+        ranked = _piece_cells(strat, field, J, meet(rank(B1), rank(B2)))
+        assert ranked == [rank(c) for c in cells], (J, B1, B2)
+        outer = rng.sample(boxes, rng.randrange(len(boxes) + 1))
+        point = uncovered_point(ranked, [rank(b) for b in outer], values)
+        assert point == uncovered_point(cells, outer), (J, B1, B2, outer)
+        if cells:
+            outcomes.append(point is None)
+    assert True in outcomes and False in outcomes
 
 
 def test_point_side_box_is_empty():
