@@ -166,7 +166,7 @@ def uncovered_point(cells, boxes, values=None):
     boxes are values, or signed ranks with values[ax][rank] the end.
     """
     if values is None and cells:
-        rank, values = _ranking(cells + boxes, len(cells[0]))
+        rank, values = _ranking([*cells, *boxes], len(cells[0]))
         cells, boxes = [rank(c) for c in cells], [rank(b) for b in boxes]
     boxes = [b for b in boxes if all(lo < hi for lo, hi in b)]
     for c in cells:

@@ -112,8 +112,12 @@ def test_ranks_keep_order_on_each_axis():
         {-2: -INF, -1: Fraction(-1), 0: 0, 1: Fraction(1), 2: Fraction(2),
          3: INF},
         {-1: -INF, 0: 0, 1: Fraction(1, 2), 2: INF}]
-    # the box that is a single point on axis 0 is empty and holds nothing
-    assert uncovered_point([cell], boxes) == (0, Fraction(-1, 2))
+    # the box that is a single point on axis 0 is empty: it is dropped, so
+    # it does not split a cell open across 2 on that axis, and the witness
+    # is the value of the whole cell, not one on the point 2
+    wide = ((-INF, INF), (-INF, Fraction(1, 2)))
+    assert uncovered_point([wide], tuple(boxes)) == (0, Fraction(-1, 2))
+    assert uncovered_point([wide], boxes[1:]) == (0, Fraction(-1, 2))
 
 
 RANK_STRATS = STRATS + list(enumerate_stratifications(2, COMPLEX))
