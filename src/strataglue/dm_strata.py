@@ -29,6 +29,7 @@ class EdgeStratification:
     graph_class: GraphClass
     targets: tuple  # (target GraphClass, tuple of edge masks) per class
     stratification: LinearStratification
+    contractions: tuple  # the labelled contracted graph per edge mask
 
     @property
     def num_classes(self):
@@ -49,10 +50,11 @@ def edge_stratification(gc):
     """
     graph = gc.graph
     ne = graph.num_edges
+    contractions = tuple(
+        graph.contract({e for e in range(ne) if mask & (1 << e)})
+        for mask in range(1 << ne))
     groups = {}
-    for mask in range(1 << ne):
-        D = {e for e in range(ne) if mask & (1 << e)}
-        c = graph.contract(D)
+    for mask, c in enumerate(contractions):
         groups.setdefault(_canonical_key(c.genera, c.edges, c.tails),
                           []).append(mask)
     targets = sorted(
@@ -61,7 +63,7 @@ def edge_stratification(gc):
         key=lambda pair: (popcount(pair[1][0]), pair[1]))
     classes = tuple(masks for _, masks in targets)
     strat = LinearStratification(ne, REAL, classes)
-    return EdgeStratification(gc, tuple(targets), strat)
+    return EdgeStratification(gc, tuple(targets), strat, contractions)
 
 
 def verify_dimension_matching(es):
@@ -93,7 +95,7 @@ def contraction_functoriality(es):
     ne = graph.num_edges
     subsets = range(1 << ne)
     edges = [{e for e in range(ne) if mask & (1 << e)} for mask in subsets]
-    direct = [graph.contract(D) for D in edges]
+    direct = es.contractions
     violations = []
     for inner in subsets:
         I = edges[inner]

@@ -21,9 +21,9 @@ writes that closed form directly (its docstring gives the reasons); the
 tests run the chain through these primitives as the reference build_atlas
 must reproduce.  The report certifies pairwise compatibility (on every
 common higher stratum the data induced over the two whole chart images
-coincide: their metrics and words agree, or their regions are disjoint),
-the separation of images of incomparable strata, and that the chart images
-cover the whole space.
+agree in metric and words, or else those images, built only then, are
+disjoint), the separation of images of incomparable strata, and that the
+chart images cover the whole space.
 
 Separation and cover are decided exactly, with the same box calculus as
 that disjointness.  The image of a chart over a stratum is an exact region
@@ -376,28 +376,28 @@ def induce(model, datum, b, region, epsilon):
     img = image_region(model, datum, b)
     if not region_subset(strat, model.field, region, img):
         raise EngineError("region is not inside the chart image over %d" % b)
-    return _induce(model, datum, b, region, epsilon)
+    phi_word, bundle_words = _words_over(model, datum, b)
+    return GluingDatum(stratum=b, region=region, scales=datum.scales,
+                       epsilon=epsilon, phi_word=phi_word,
+                       bundle_words=bundle_words)
 
 
-def _induce(model, datum, b, region, epsilon):
-    """induce for a region and radius known to be admissible."""
+def _words_over(model, datum, b):
+    """The normalized phi and bundle words of a datum over a stratum b at
+    or above its own: its own words on its stratum, otherwise induce's."""
     strat = model.strat
     a = datum.stratum
+    if b == a:
+        return datum.phi_word, datum.bundle_words
     choice = {}
     for J in strat.classes[b]:
         cands = [I for I in strat.classes[a] if I & J == I]
         if cands:
             choice[J] = min(cands)
     word = psi(b, a, choice)
-    return GluingDatum(
-        stratum=b,
-        region=region,
-        scales=datum.scales,
-        epsilon=epsilon,
-        phi_word=(word,) + datum.phi_word,
-        bundle_words={c: (word,) + datum.bundle_words[c]
-                      for c in strat.above(b)},
-    )
+    return (normalize((word,) + datum.phi_word),
+            {c: normalize((word,) + datum.bundle_words[c])
+             for c in strat.above(b)})
 
 
 def coincide(model, d1, d2):
@@ -453,21 +453,19 @@ def check_compatible(model, d1, d2):
 
     On each common stratum b a datum is taken as it is when b is its own
     stratum, and otherwise induced over its whole chart image over b; the
-    verdict is coincide's, which compares metrics and words first and meets
-    the two regions only when those differ.
+    verdict is coincide's.  Metrics and words over b are compared first;
+    only when they differ are the two regions over b built (the datum's own
+    region, or its chart image over b) and their meet tested for emptiness.
     """
-    return _compatible(model, d1, d2, lambda d, b: image_region(model, d, b))
-
-
-def _compatible(model, d1, d2, image):
-    """check_compatible, taking each chart image over b from image(d, b)."""
     strat = model.strat
     common = set(strat.above(d1.stratum)) & set(strat.above(d2.stratum))
     for b in sorted(common):
-        e1, e2 = (d if b == d.stratum
-                  else _induce(model, d, b, image(d, b), d.epsilon)
+        if ((d1.scales, _words_over(model, d1, b))
+                == (d2.scales, _words_over(model, d2, b))):
+            continue
+        r1, r2 = (d.region if b == d.stratum else image_region(model, d, b)
                   for d in (d1, d2))
-        if not coincide(model, e1, e2):
+        if not region_is_empty(model, r1.intersect(r2)):
             return False
     return True
 
@@ -581,8 +579,9 @@ def build_atlas(model):
     the radii below are capped at half of it.  Halving every radius maps
     each image by x -> x/2, which maps every support piece onto itself and
     so changes neither verdict: a failing separation verdict is reported
-    with the radii as built, not halved down to 2^-32.  Compatibility,
-    separation and cover are decided exactly.
+    with the radii as built, not halved down to 2^-32.  Separation and
+    cover are decided exactly; built data agree in metric and words over
+    every common stratum, so check_compatible builds no chart image.
     """
     strat = model.strat
     data = {}
@@ -600,10 +599,7 @@ def build_atlas(model):
                     if data[g].epsilon > half:
                         data[g] = replace(data[g], epsilon=half)
     (sep_ok, sep_wit), (cover_ok, cover_wit) = _exact_checks(model, data)
-    images = {(g, c): image_region(model, d, c)
-              for g, d in data.items() for c in strat.above(g)}
-    compatible = {(a, b): _compatible(model, data[a], data[b],
-                                      lambda d, c: images[d.stratum, c])
+    compatible = {(a, b): check_compatible(model, data[a], data[b])
                   for a, b in itertools.combinations(sorted(data), 2)}
     return AtlasReport(
         model=model,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 from strataglue.dm_strata import (
     aut_equivariance,
@@ -92,6 +93,24 @@ class TestFunctoriality:
         for g, n in [(1, 2), (2, 0), (2, 1)]:
             for gc in enumerate_stable_graphs(g, n):
                 assert contraction_functoriality(edge_stratification(gc))["ok"]
+
+    def test_reads_the_kept_contractions(self):
+        """The check compares against edge_stratification's table of direct
+        contractions: a wrong entry at any mask of a class with edges is a
+        violation.  The wrong graph is the right one with an extra tail on
+        vertex 0, so it has the same edges and every two-step contraction
+        still runs."""
+        for g, n in [(1, 2), (2, 0)]:
+            for gc in enumerate_stable_graphs(g, n):
+                if not gc.graph.num_edges:
+                    continue
+                es = edge_stratification(gc)
+                table = es.contractions
+                for mask, c in enumerate(table):
+                    wrong = G(c.genera, c.edges, c.tails + (0,))
+                    bad = replace(es, contractions=table[:mask] + (wrong,)
+                                  + table[mask + 1:])
+                    assert not contraction_functoriality(bad)["ok"], mask
 
 
 class TestEquivariance:

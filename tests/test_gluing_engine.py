@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -719,6 +720,22 @@ def test_check_compatible_decides_two_box_data(model):
         assert check_compatible(model, d1, d2) is True
 
 
+def rescaled(model, d, boxed):
+    """d with scales a+1, for a its stratum; if boxed, each term cut to
+    the box (a+1, a+2) on its support axes and left whole off them."""
+    s = model.strat
+    k = real_axes(model.field)
+    a = d.stratum
+    region = d.region
+    if boxed:
+        side = (Fraction(a + 1), Fraction(a + 2))
+        region = Region(a, tuple(
+            (J, tuple(side if J >> (ax // k) & 1 else (-INF, INF)
+                      for ax in range(s.m * k)))
+            for J in s.classes[a]))
+    return replace(d, scales=(Fraction(a + 1),) * s.m, region=region)
+
+
 @pytest.mark.parametrize("model", BUILT_MODELS)
 def test_check_compatible_needs_disjoint_images_when_metrics_differ(model):
     """The datum of stratum a gets scales a+1, so no two data share a
@@ -726,25 +743,51 @@ def test_check_compatible_needs_disjoint_images_when_metrics_differ(model):
     every two images meet on the top stratum: no pair is compatible.  With
     each term cut to the box (a+1, a+2) on its support axes and left whole
     off them, the images are disjoint: every pair is compatible."""
-    s = model.strat
-    k = real_axes(model.field)
-
-    def rescaled(d, boxed):
-        a = d.stratum
-        region = d.region
-        if boxed:
-            side = (Fraction(a + 1), Fraction(a + 2))
-            region = Region(a, tuple(
-                (J, tuple(side if J >> (ax // k) & 1 else (-INF, INF)
-                          for ax in range(s.m * k)))
-                for J in s.classes[a]))
-        return replace(d, scales=(Fraction(a + 1),) * s.m, region=region)
-
     built = build_atlas(model).data
     for boxed in (False, True):
-        data = [rescaled(d, boxed) for d in built.values()]
+        data = [rescaled(model, d, boxed) for d in built.values()]
         for d1, d2 in itertools.combinations(data, 2):
             assert check_compatible(model, d1, d2) is boxed
+
+
+def eager_compatible(model, d1, d2):
+    """check_compatible as it was defined before images were built lazily:
+    on every common stratum each datum is induced over its whole chart
+    image, and the two are handed to coincide."""
+    s = model.strat
+
+    def over(d, b):
+        if b == d.stratum:
+            return d
+        return induce(model, d, b, image_region(model, d, b), d.epsilon)
+
+    return all(coincide(model, over(d1, b), over(d2, b))
+               for b in sorted(set(s.above(d1.stratum))
+                               & set(s.above(d2.stratum))))
+
+
+def test_check_compatible_matches_eager_definition():
+    """On every pair of data of every built model's states, and of its two
+    rescaled states (scales a+1 on stratum a, whole or boxed), the verdict
+    of check_compatible is the eager definition's.  Every datum of a
+    rescaled state has its own metric, so there the images decide: they
+    meet in the whole state and are disjoint in the boxed one.  Elsewhere
+    the words agree."""
+    tally = collections.Counter()
+    for model in (p.values[0] for p in BUILT_MODELS):
+        built = build_atlas(model).data
+        states = [("state", data) for data in states_of(model)] + [
+            (kind, {a: rescaled(model, d, kind == "boxed")
+                    for a, d in built.items()})
+            for kind in ("whole", "boxed")]
+        for kind, data in states:
+            for d1, d2 in itertools.combinations(data.values(), 2):
+                got = check_compatible(model, d1, d2)
+                assert got == eager_compatible(model, d1, d2), (
+                    kind, d1.stratum, d2.stratum)
+                tally[kind, got] += 1
+    assert tally == {("state", True): 756, ("whole", False): 207,
+                     ("boxed", True): 207}
 
 
 def all_singleton(m, field):
