@@ -10,11 +10,14 @@ the one-vertex graph of genus g with n tails, each class is degenerated at
 one node in every possible way (a new loop, or a vertex split in two), level
 by level.  A class with k edges appears at level k, and each degeneration
 found is a cover of the contraction poset, since contracting the new edge
-gives back the class it came from.  One pass thus yields both the classes
-and the poset with its layer decomposition.  The pass keys each candidate
+gives back the class it came from.  One pass thus yields the classes, the
+covers and the layer decomposition; the poset stores only these, its order
+being the transitive closure of the covers.  The pass keys each candidate
 from its raw parts and builds a graph only for a key not seen before;
 graphs made from valid graphs (contractions, relabelings, class
-representatives) skip the public constructor's checks.
+representatives) skip the public constructor's checks.  Each vertex's
+genus, valence, loops and tail labels are computed in one helper, which
+stability, valence, canonical keys and automorphisms all read.
 """
 
 from __future__ import annotations
@@ -97,23 +100,9 @@ class StableGraph:
     def num_tails(self):
         return len(self.tails)
 
-    def half_edge_counts(self):
-        h = [0] * self.num_vertices
-        for u, v in self.edges:
-            h[u] += 1
-            h[v] += 1
-        return h
-
-    def tail_counts(self):
-        t = [0] * self.num_vertices
-        for v in self.tails:
-            t[v] += 1
-        return t
-
     def valence(self, v):
         """m_v: tails plus half-edges at v (a loop contributes two)."""
-        h = self.half_edge_counts()
-        return h[v] + self.tail_counts()[v]
+        return _vertex_invariants(self.genera, self.edges, self.tails)[v][1]
 
     def is_connected(self):
         return len(set(_components(self.num_vertices, self.edges))) == 1
@@ -126,11 +115,8 @@ class StableGraph:
         return sum(self.genera) + b1
 
     def is_stable(self):
-        h = self.half_edge_counts()
-        t = self.tail_counts()
-        return all(
-            2 - 2 * g - (h[v] + t[v]) < 0 for v, g in enumerate(self.genera)
-        )
+        return all(2 - 2 * g - m < 0 for g, m, _, _ in
+                   _vertex_invariants(self.genera, self.edges, self.tails))
 
     def dimension(self):
         """3g - 3 + n - |E|; also the sum over vertices of 3g_v - 3 + m_v."""
@@ -310,70 +296,46 @@ class AutomorphismGroup:
 
 
 def automorphism_group(graph):
-    """All automorphisms, by brute force over compatible vertex orderings."""
-    nv = graph.num_vertices
-    ne = graph.num_edges
-    inv = _vertex_invariants(graph.genera, graph.edges, graph.tails)
+    """All automorphisms, by brute force over compatible vertex orderings.
+
+    Tail labels are part of the vertex invariant, so every ordering tried
+    fixes each tail's vertex.  The edges between a vertex pair go to the
+    edges between its image pair in every order; a loop's two half-edges
+    go to either side of its image, and a non-loop half-edge goes to the
+    side at the image of its vertex.
+    """
+    edges = graph.edges
+    inv = _vertex_invariants(graph.genera, edges, graph.tails)
     groups = {}
-    for v in range(nv):
-        groups.setdefault(inv[v], []).append(v)
+    for v, key in enumerate(inv):
+        groups.setdefault(key, []).append(v)
     by_pair = {}
-    for e, (u, v) in enumerate(graph.edges):
-        by_pair.setdefault((u, v), []).append(e)
-    pair_list = list(by_pair.items())
+    for e, pair in enumerate(edges):
+        by_pair.setdefault(pair, []).append(e)
+    loops = [e for (u, v), es in by_pair.items() if u == v for e in es]
     elements = []
     for images in itertools.product(
             *(itertools.permutations(g) for g in groups.values())):
-        perm = [0] * nv
+        perm = [0] * len(inv)
         for src_group, img_group in zip(groups.values(), images):
             for s, i in zip(src_group, img_group):
                 perm[s] = i
-        if any(perm[v] != v for v in graph.tails):
-            continue
-        target = {}
-        ok = True
-        for (u, v), es in by_pair.items():
-            q = (min(perm[u], perm[v]), max(perm[u], perm[v]))
-            if q not in by_pair or len(by_pair[q]) != len(es):
-                ok = False
-                break
-            target[(u, v)] = by_pair[q]
-        if not ok:
+        target = [by_pair.get(tuple(sorted((perm[u], perm[v]))), ())
+                  for u, v in by_pair]
+        if any(len(t) != len(es) for t, es in zip(target, by_pair.values())):
             continue
         for edge_images in itertools.product(
-                *(itertools.permutations(target[p]) for p, _ in pair_list)):
-            base = {}
-            loops = []
-            for (p, es), imgs in zip(pair_list, edge_images):
-                for e, e2 in zip(es, imgs):
-                    base[e] = e2
-                    if p[0] == p[1]:
-                        loops.append(e)
+                *map(itertools.permutations, target)):
+            base = {e: e2 for es, imgs in zip(by_pair.values(), edge_images)
+                    for e, e2 in zip(es, imgs)}
             for flips in itertools.product((0, 1), repeat=len(loops)):
                 flip = dict(zip(loops, flips))
-                half = [None] * (2 * ne)
-                good = True
-                for e in range(ne):
-                    u, v = graph.edges[e]
+                half = []
+                for e, (u, v) in enumerate(edges):
                     e2 = base[e]
-                    u2, v2 = graph.edges[e2]
-                    if u == v:
-                        f = flip[e]
-                        half[2 * e] = (e2, f)
-                        half[2 * e + 1] = (e2, 1 - f)
-                    else:
-                        # half (e,0) sits at u, must land at perm[u]
-                        if (perm[u], perm[v]) == (u2, v2):
-                            half[2 * e] = (e2, 0)
-                            half[2 * e + 1] = (e2, 1)
-                        elif (perm[v], perm[u]) == (u2, v2):
-                            half[2 * e] = (e2, 1)
-                            half[2 * e + 1] = (e2, 0)
-                        else:
-                            good = False
-                            break
-                if good:
-                    elements.append(Automorphism(tuple(perm), tuple(half)))
+                    side = flip[e] if u == v else int(edges[e2][0] != perm[u])
+                    half += [(e2, side), (e2, 1 - side)]
+                elements.append(Automorphism(tuple(perm), tuple(half)))
     return AutomorphismGroup(tuple(elements))
 
 
@@ -468,17 +430,19 @@ def enumerate_stable_graphs(g, n):
 class StrataPoset:
     """Contraction poset of graph classes for one type (g, n).
 
-    ``a ≺ b`` (strictly smaller, i.e. more edges) is stored as the index
-    pair ``(a, b)`` in ``order``; ``covers`` holds the one-edge-contraction
-    pairs.  ``layers[k]`` is the k-th batch of the layered construction:
-    the minimal elements of what remains after removing earlier layers,
-    which are the classes with k edges fewer than the most degenerate ones.
+    ``covers`` holds the one-edge contractions as index pairs ``(a, b)``:
+    contracting one edge of ``elements[a]`` gives ``elements[b]``.  The
+    strict order ``a ≺ b`` (contracting some nonempty edge set of a gives
+    b) is the transitive closure of ``covers``.  ``layers[k]`` is the k-th
+    batch of the layered construction: the minimal elements of what
+    remains after removing earlier layers, which are the classes with k
+    edges fewer than the most degenerate ones.  ``top`` is the class with
+    no edges.
     """
 
     signature: tuple
     elements: tuple
     covers: frozenset
-    order: frozenset
     layers: tuple
     top: int
 
@@ -506,26 +470,10 @@ class StrataPoset:
 
 def build_poset(g, n):
     elements, covers, levels = _degeneration_pass(g, n)
-    # strict order: transitive closure of covers
-    above = {i: set() for i in range(len(elements))}
-    for a, b in covers:
-        above[a].add(b)
-    order = set()
-    for a in range(len(elements)):
-        stack = list(above[a])
-        seen = set()
-        while stack:
-            b = stack.pop()
-            if b in seen:
-                continue
-            seen.add(b)
-            order.add((a, b))
-            stack.extend(above[b])
     return StrataPoset(
         signature=(g, n),
         elements=elements,
         covers=frozenset(covers),
-        order=frozenset(order),
         layers=tuple(tuple(level) for level in reversed(levels)),
         top=levels[0][0],
     )

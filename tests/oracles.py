@@ -3,7 +3,10 @@
 Everything here is written against the definitions directly, sharing no code
 paths with the package: a naive stable-graph generator with explicit
 permutation-search isomorphism testing, a GF(2) cycle-space rank for the
-first Betti number, a pointwise normal-fiber stratifier on 0/1 grids, the
+first Betti number, the transitive closure of a relation, orbifold Euler
+characteristics of moduli spaces of curves (Harer-Zagier's open values
+summed over a stratification, and Keel's genus-0 recursion), a pointwise
+normal-fiber stratifier on 0/1 grids, the
 class order and its peeled layers tested on every support, every
 stratification by filtering all products of per-size partitions, a pointwise
 decision of covers by unions of open boxes (and of the separation and cover
@@ -193,6 +196,84 @@ def gf2_cycle_rank(nv, edges):
             basis.sort(reverse=True)
             rank += 1
     return len(edges) - rank
+
+
+# ---------------------------------------------------------------------------
+# the strict order of a poset, as the transitive closure of its covers
+
+def transitive_closure(pairs):
+    """Every (a, c) joined by a chain of one or more pairs, by Warshall's
+    algorithm over the elements the pairs name."""
+    reach = {}
+    for a, b in pairs:
+        reach.setdefault(a, set()).add(b)
+        reach.setdefault(b, set())
+    for k in reach:
+        for a in reach:
+            if k in reach[a]:
+                reach[a] |= reach[k]
+    return {(a, b) for a in reach for b in reach[a]}
+
+
+# ---------------------------------------------------------------------------
+# orbifold Euler characteristics of moduli spaces of curves
+
+def bernoulli(m):
+    """B_m (with B_1 = -1/2), from sum_{k <= j} C(j + 1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for j in range(1, m + 1):
+        b.append(-sum(math.comb(j + 1, k) * b[k] for k in range(j))
+                 / (j + 1))
+    return b[m]
+
+
+def chi_open(g, n):
+    """chi(M_{g,n}) for 2g - 2 + n > 0 (Harer-Zagier, Invent. Math. 85,
+    1986): chi(M_{g,1}) = -B_{2g}/(2g), chi(M_g) = chi(M_{g,1})/(2 - 2g),
+    and each further point multiplies by the Euler characteristic of the
+    punctured fibre, 2 - 2g - n."""
+    if g == 0:
+        return Fraction((-1) ** (n - 3) * math.factorial(n - 3))
+    if n == 0:
+        return chi_open(g, 1) / (2 - 2 * g)
+    if n == 1:
+        return -bernoulli(2 * g) / (2 * g)
+    return (3 - 2 * g - n) * chi_open(g, n - 1)
+
+
+def euler_sum(graphs, fibre=False):
+    """Sum over (genera, edges, tails, |Aut|) of |Aut|^-1 prod_v chi(M_v).
+
+    Over the classes of type (g, n) this is chi of the compactification,
+    each open stratum being M_v's product modulo Aut.  With ``fibre`` each
+    term is also weighted by 2 - 2g + |E|, the Euler characteristic of the
+    nodal curve the graph describes, so the sum is chi of the universal
+    curve over it, which is the compactification of type (g, n + 1).
+    """
+    total = Fraction(0)
+    for genera, edges, tails, aut_order in graphs:
+        valence = [0] * len(genera)
+        for v in itertools.chain(*edges, tails):
+            valence[v] += 1
+        term = Fraction(1, aut_order)
+        for g, m in zip(genera, valence):
+            term *= chi_open(g, m)
+        if fibre:
+            genus = sum(genera) + len(edges) - len(genera) + 1
+            term *= 2 - 2 * genus + len(edges)
+        total += term
+    return total
+
+
+def keel_euler(n):
+    """chi(M_{0,n} compactified) by Keel's recursion for the Poincare
+    polynomial (Trans. AMS 330, 1992) at q = 1."""
+    chi = {3: Fraction(1)}
+    for k in range(3, n):
+        chi[k + 1] = 2 * chi[k] + Fraction(1, 2) * sum(
+            math.comb(k, j) * chi[j + 1] * chi[k - j + 1]
+            for j in range(2, k - 1))
+    return chi[n]
 
 
 # ---------------------------------------------------------------------------

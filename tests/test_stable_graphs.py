@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +27,11 @@ GRAPH_SIGNATURES = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3),
 # the acceptance gate's signatures: every one with 3g - 3 + n <= 4
 GATE_SIGNATURES = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
                    (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1)]
+# every signature with 3g - 3 + n <= 5 but (0, 8), and (2, 3), (3, 0),
+# (3, 1), (4, 0): the Euler-characteristic checks
+EULER_SIGNATURES = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+                    (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
+                    (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (4, 0)]
 
 
 def G(genera, edges, tails):
@@ -267,6 +274,64 @@ class TestAutomorphisms:
                 assert comp in perms
 
 
+    def test_frozen_digest(self):
+        # every element of every class's group over the benchmark
+        # signatures, in the order the search yields them
+        h = hashlib.sha256()
+        for g, n in GRAPH_SIGNATURES:
+            for c in enumerate_stable_graphs(g, n):
+                h.update(repr(automorphism_group(c.graph).elements).encode())
+        assert h.hexdigest() == ("00029c81fa9cd660bf8388898c466907"
+                                 "054bf342809b78416106d5936993e76e")
+
+    @pytest.mark.parametrize("g,n", GATE_SIGNATURES)
+    def test_elements_are_automorphisms(self, g, n):
+        # each element checked on the graph itself, not through the search
+        for gc in enumerate_stable_graphs(g, n):
+            graph = gc.graph
+            halves = [(e, h) for e in range(graph.num_edges) for h in (0, 1)]
+            elements = automorphism_group(graph).elements
+            assert len(set(elements)) == len(elements)
+            for a in elements:
+                perm, half = a.vertex_perm, a.half_edge_map
+                assert sorted(perm) == list(range(graph.num_vertices))
+                assert [graph.genera[w] for w in perm] == list(graph.genera)
+                assert all(perm[v] == v for v in graph.tails)
+                assert sorted(half) == halves
+                for e in range(graph.num_edges):
+                    (e2, h0), (e3, h1) = half[2 * e], half[2 * e + 1]
+                    assert e2 == e3 and h0 != h1
+                for (e, h), (e2, h2) in zip(halves, half):
+                    assert graph.edges[e2][h2] == perm[graph.edges[e][h]]
+
+
+@functools.lru_cache(maxsize=None)
+def euler_terms(g, n):
+    """(genera, edges, tails, |Aut|) of every class of type (g, n)."""
+    return tuple((c.graph.genera, c.graph.edges, c.graph.tails,
+                  automorphism_group(c.graph).order)
+                 for c in enumerate_stable_graphs(g, n))
+
+
+class TestEulerCharacteristic:
+    """The classes and automorphism orders against orbifold Euler
+    characteristics from sources that share nothing with the enumerator."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_genus_zero_matches_keel(self, n):
+        assert oracles.euler_sum(euler_terms(0, n)) == oracles.keel_euler(n)
+
+    def test_genus_one_one_point(self):
+        assert oracles.euler_sum(euler_terms(1, 1)) == Fraction(5, 12)
+
+    @pytest.mark.parametrize("g,n", [(g, n) for g, n in EULER_SIGNATURES
+                                     if (g, n + 1) in EULER_SIGNATURES])
+    def test_universal_curve(self, g, n):
+        # chi of type (g, n + 1) is chi of the universal curve over (g, n)
+        assert oracles.euler_sum(euler_terms(g, n + 1)) == \
+            oracles.euler_sum(euler_terms(g, n), fibre=True)
+
+
 class TestEnumeration:
     def test_frozen_counts(self):
         assert len(enumerate_stable_graphs(0, 3)) == 1
@@ -318,8 +383,9 @@ class TestPoset:
         p = build_poset(0, 4)
         assert len(p.elements) == 4
         assert p.elements[p.top].graph.num_edges == 0
+        # minimal: no cover, hence no chain of covers, ends at it
         minimal = [i for i in range(4)
-                   if not any((j, i) in p.order for j in range(4))]
+                   if not any((j, i) in p.covers for j in range(4))]
         assert len(minimal) == 3
         assert all((i, p.top) in p.covers for i in minimal)
 
@@ -344,15 +410,17 @@ class TestPoset:
 
     def test_layers_are_antichains(self):
         p = build_poset(1, 2)
+        order = oracles.transitive_closure(p.covers)
         for layer in p.layers:
             for a in layer:
                 for b in layer:
                     if a != b:
-                        assert (a, b) not in p.order
+                        assert (a, b) not in order
 
     @pytest.mark.parametrize("g,n", [(1, 2), (0, 5), (2, 1), (3, 0)])
     def test_order_matches_multi_edge_contraction(self, g, n):
         p = build_poset(g, n)
+        order = oracles.transitive_closure(p.covers)
         for i, c in enumerate(p.elements):
             g = c.graph
             reachable = set()
@@ -362,7 +430,7 @@ class TestPoset:
                     reachable.add(next(
                         k for k, el in enumerate(p.elements)
                         if el.key == key))
-            assert reachable == {b for a, b in p.order if a == i}
+            assert reachable == {b for a, b in order if a == i}
 
 
 class TestSerialization:
