@@ -273,7 +273,6 @@ class TestAutomorphisms:
                 )
                 assert comp in perms
 
-
     def test_frozen_digest(self):
         # every element of every class's group over the benchmark
         # signatures, in the order the search yields them
