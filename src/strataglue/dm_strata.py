@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import REAL
+from .fields import COMPLEX
 from .gluing_engine import build_atlas, linear_model
 from .linear_strata import LinearStratification, popcount
 from .stable_graphs import (GraphClass, _canonical_key, _class_of,
@@ -46,7 +46,10 @@ def edge_stratification(gc):
 
     The groups are emitted in a deterministic order (by cardinality, then
     by smallest member) and assembled into a linearly stratified space of
-    dimension |E|, which is validated on construction.
+    dimension |E|, which is validated on construction.  It is over C: a
+    node is smoothed by the plumbing z*w = t with t complex, so the chart
+    at the class is C^E modulo its automorphisms, stratified by which
+    gluing parameters vanish.
     """
     graph = gc.graph
     ne = graph.num_edges
@@ -62,7 +65,7 @@ def edge_stratification(gc):
          for key, masks in groups.items()),
         key=lambda pair: (popcount(pair[1][0]), pair[1]))
     classes = tuple(masks for _, masks in targets)
-    strat = LinearStratification(ne, REAL, classes)
+    strat = LinearStratification(ne, COMPLEX, classes)
     return EdgeStratification(gc, tuple(targets), strat, contractions)
 
 

@@ -29,8 +29,16 @@ Separation and cover are decided exactly, with the same box calculus as
 that disjointness.  The image of a chart over a stratum is an exact region
 of support-tagged terms (image_region), so on each support piece both
 conditions are covers of cells by the open boxes tagged there, decided on
-the ranks of the box corners.  A failing check reports one point of an
-uncovered cell as its witness.
+the ranks of the box corners.  Each question is asked coarse first, on the
+boxes pinned to the closure of the piece (one cell per box), and split into
+the piece's cells only when those leave a gap; the cells lie inside their
+pinned box, so the answer is the exact one.  A failing check reports one
+point of an uncovered cell as its witness.
+
+One build derives the class order once, as a table of strat.above rows
+shared by the radius loop, the exact checks and the compatibility of every
+pair, and takes each datum's words over each stratum once.  The table lives
+for one build_atlas call only; AtlasReport.stats counts that work.
 """
 
 from __future__ import annotations
@@ -40,10 +48,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .fields import box_abs, from_real_parts, real_axes, zero
-from .linear_strata import LinearStratification, OrderError, popcount
-from .regions import (Region, _piece_cells, _ranking, collar, full_box,
-                      meet, region_contains, region_subset, uncovered_point,
-                      whole_stratum)
+from .linear_strata import (LinearStratification, OrderError, indices_of,
+                            popcount)
+from .regions import (Region, _piece_cells, _pinned, _ranking, axes_of,
+                      collar, full_box, meet, region_contains, region_subset,
+                      split_nonzero, uncovered_point, whole_stratum)
 
 
 class EngineError(ValueError):
@@ -376,15 +385,16 @@ def induce(model, datum, b, region, epsilon):
     img = image_region(model, datum, b)
     if not region_subset(strat, model.field, region, img):
         raise EngineError("region is not inside the chart image over %d" % b)
-    phi_word, bundle_words = _words_over(model, datum, b)
+    phi_word, bundle_words = _words_over(model, datum, b, strat.above(b))
     return GluingDatum(stratum=b, region=region, scales=datum.scales,
                        epsilon=epsilon, phi_word=phi_word,
                        bundle_words=bundle_words)
 
 
-def _words_over(model, datum, b):
+def _words_over(model, datum, b, above_b):
     """The normalized phi and bundle words of a datum over a stratum b at
-    or above its own: its own words on its stratum, otherwise induce's."""
+    or above its own: its own words on its stratum, otherwise induce's.
+    above_b is strat.above(b), the strata the bundle words run to."""
     strat = model.strat
     a = datum.stratum
     if b == a:
@@ -397,7 +407,7 @@ def _words_over(model, datum, b):
     word = psi(b, a, choice)
     return (normalize((word,) + datum.phi_word),
             {c: normalize((word,) + datum.bundle_words[c])
-             for c in strat.above(b)})
+             for c in above_b})
 
 
 def coincide(model, d1, d2):
@@ -457,17 +467,42 @@ def check_compatible(model, d1, d2):
     only when they differ are the two regions over b built (the datum's own
     region, or its chart image over b) and their meet tested for emptiness.
     """
-    strat = model.strat
-    common = set(strat.above(d1.stratum)) & set(strat.above(d2.stratum))
-    for b in sorted(common):
-        if ((d1.scales, _words_over(model, d1, b))
-                == (d2.scales, _words_over(model, d2, b))):
-            continue
-        r1, r2 = (d.region if b == d.stratum else image_region(model, d, b)
-                  for d in (d1, d2))
-        if not region_is_empty(model, r1.intersect(r2)):
-            return False
-    return True
+    return _compatibility(model, _order(model.strat), (d1, d2),
+                          [(0, 1)])[0, 1]
+
+
+def _order(strat):
+    """The class order as a table: row a is strat.above(a)."""
+    return [strat.above(a) for a in range(strat.num_classes)]
+
+
+def _compatibility(model, above, data, pairs, stats=None):
+    """check_compatible's verdict on each pair (g, h) of keys of data, on
+    the class-order table above; each datum's words over each stratum are
+    taken once for all its pairs."""
+    words = {}
+
+    def over(g, b):
+        if (g, b) not in words:
+            words[g, b] = _words_over(model, data[g], b, above[b])
+        return words[g, b]
+
+    def compatible(g, h):
+        d1, d2 = data[g], data[h]
+        for b in sorted(set(above[d1.stratum]).intersection(
+                above[d2.stratum])):
+            if (d1.scales, over(g, b)) == (d2.scales, over(h, b)):
+                continue
+            r1, r2 = (d.region if b == d.stratum else image_region(model, d, b)
+                      for d in (d1, d2))
+            if not region_is_empty(model, r1.intersect(r2)):
+                return False
+        return True
+
+    verdicts = {(g, h): compatible(g, h) for g, h in pairs}
+    if stats is not None:
+        stats["word_sets"] += len(words)
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +518,7 @@ class AtlasReport:
     separation_witnesses: tuple
     cover_ok: bool
     cover_witnesses: tuple
+    stats: dict  # counts of the build's work (STATS), left out of to_json
 
     @property
     def all_compatible(self):
@@ -507,7 +543,14 @@ class AtlasReport:
         }
 
 
-def _exact_checks(model, data):
+# AtlasReport.stats: separation and cover questions asked, those decided on
+# the pinned boxes, those that fell back to the exact cells, rows of the
+# class-order table, and (datum, stratum) word sets compatibility took
+STATS = ("questions", "decided_coarse", "exact_fallbacks", "order_rows",
+         "word_sets")
+
+
+def _exact_checks(model, data, above=None, stats=None):
     """Separation and cover of the chart images, decided on support pieces.
 
     On the piece V^[J] of the points with support J, the chart images are
@@ -521,8 +564,21 @@ def _exact_checks(model, data):
     uncovered piece, in pair-then-piece order.  Every image end is an end
     of a region term or a fibre: those are ranked once and the image terms
     built in ranks, so every question runs on ints.
+
+    Each question is asked coarse first, on the pinned boxes (one cell per
+    box, the axes off J at 0 and those of J whole): the cells of the piece
+    lie inside them, so when the pinned boxes are covered so is the piece.
+    Only when they are not is each split by split_nonzero into the piece's
+    cells, up to 2^|J| of them (4^|J| over C), and the exact question asked
+    on those cells in their order; so every verdict and witness is the
+    exact one.  above is the class-order table (_order), and stats, a dict
+    on the keys of STATS, counts the questions.
     """
     strat, field = model.strat, model.field
+    if above is None:
+        above = _order(strat)
+    if stats is None:
+        stats = dict.fromkeys(STATS, 0)
     k = real_axes(field)
     num_axes = strat.m * k
     fibres = {g: _fibre(model, d) for g, d in data.items()}
@@ -533,15 +589,27 @@ def _exact_checks(model, data):
     for g, d in data.items():
         terms = [(I, rank(B)) for I, B in d.region.terms]
         fibre = rank(fibres[g])
-        for c in strat.above(g):
+        for c in above[g]:
             for J, box in _image_terms(model, terms, fibre, c):
                 tagged.setdefault((g, J), []).append(box)
 
     def on(J, strata):
         return [box for g in strata for box in tagged.get((g, J), ())]
 
-    def witness(cells, boxes):
-        point = uncovered_point(cells, boxes, values)
+    def witness(J, inner, boxes):
+        """A point of the J piece inside an inner box and outside every
+        box, or None."""
+        stats["questions"] += 1
+        pinned = [c for c in (_pinned(strat, field, J, B) for B in inner)
+                  if c is not None]
+        if uncovered_point(pinned, boxes, values) is None:
+            stats["decided_coarse"] += 1
+            return None
+        stats["exact_fallbacks"] += 1
+        groups = [axes_of(field, i) for i in indices_of(J)]
+        point = uncovered_point(
+            [c for p in pinned for c in split_nonzero(p, groups)], boxes,
+            values)
         if point is not None:
             return tuple(from_real_parts(field, point[k * c:k * c + k])
                          for c in range(strat.m))
@@ -549,16 +617,15 @@ def _exact_checks(model, data):
 
     separation = []
     for a, b in itertools.combinations(sorted(data), 2):
-        if strat.leq(a, b) or strat.leq(b, a):
+        if b in above[a] or a in above[b]:
             continue
-        lower = [g for g in data if strat.leq(g, a) and strat.leq(g, b)]
+        lower = [g for g in data if a in above[g] and b in above[g]]
         for J in range(1 << strat.m):
-            cells = [c for B1 in on(J, (a,)) for B2 in on(J, (b,))
-                     for c in _piece_cells(strat, field, J, meet(B1, B2))]
-            separation.append(witness(cells, on(J, lower)))
+            separation.append(witness(
+                J, [meet(B1, B2) for B1 in on(J, (a,)) for B2 in on(J, (b,))],
+                on(J, lower)))
     full = rank(full_box(num_axes))
-    cover = [witness(_piece_cells(strat, field, J, full), on(J, data))
-             for J in range(1 << strat.m)]
+    cover = [witness(J, [full], on(J, data)) for J in range(1 << strat.m)]
     separation = tuple(w for w in separation if w is not None)
     cover = tuple(w for w in cover if w is not None)
     return (not separation, separation), (not cover, cover)
@@ -580,10 +647,18 @@ def build_atlas(model):
     each image by x -> x/2, which maps every support piece onto itself and
     so changes neither verdict: a failing separation verdict is reported
     with the radii as built, not halved down to 2^-32.  Separation and
-    cover are decided exactly; built data agree in metric and words over
-    every common stratum, so check_compatible builds no chart image.
+    cover are decided exactly, coarse first (_exact_checks); built data
+    agree in metric and words over every common stratum, so compatibility
+    builds no chart image.  The class order is computed once, as the table
+    of strat.above rows that the radius loop, the exact checks and the
+    compatibility of every pair share, and each datum's words over each
+    stratum once; nothing outlives the call.  The report's stats count
+    this work (STATS).
     """
     strat = model.strat
+    above = _order(strat)
+    stats = dict.fromkeys(STATS, 0)
+    stats["order_rows"] = len(above)
     data = {}
     for layer in model.layers:
         for a in layer:
@@ -591,16 +666,17 @@ def build_atlas(model):
                 data[a] = model.canonical_datum(a)
                 continue
             eps = min(d.epsilon for d in data.values()) / 2
-            below = [g for g in data if strat.leq(g, a)]
+            below = [g for g in data if a in above[g]]
             data[a] = model.canonical_datum(a, epsilon=eps)
             if below:
                 half = min(data[g].epsilon for g in below) / 4
                 for g in below:
                     if data[g].epsilon > half:
                         data[g] = replace(data[g], epsilon=half)
-    (sep_ok, sep_wit), (cover_ok, cover_wit) = _exact_checks(model, data)
-    compatible = {(a, b): check_compatible(model, data[a], data[b])
-                  for a, b in itertools.combinations(sorted(data), 2)}
+    (sep_ok, sep_wit), (cover_ok, cover_wit) = _exact_checks(
+        model, data, above, stats)
+    compatible = _compatibility(
+        model, above, data, itertools.combinations(sorted(data), 2), stats)
     return AtlasReport(
         model=model,
         data=data,
@@ -610,6 +686,7 @@ def build_atlas(model):
         separation_witnesses=sep_wit,
         cover_ok=cover_ok,
         cover_witnesses=cover_wit,
+        stats=stats,
     )
 
 

@@ -224,23 +224,33 @@ def region_contains(strat, field, region, point):
                for box in region.on(mask))
 
 
-def _piece_cells(strat, field, mask, box):
-    """Cells of a box on the support piece V^[I] of the mask I.
+def _pinned(strat, field, mask, box):
+    """The box on the closure of the support piece V^[I] of the mask I, as
+    one cell, or None when the piece misses it.
 
     The box is open, so a side with lo >= hi leaves it empty.  The axes off
-    I are pinned at 0, so a box missing 0 there gives no cells; the
-    coordinates in I are kept nonzero by split_nonzero.
+    I are pinned at 0, so a box missing 0 there gives no cell; the axes of I
+    are left whole, 0 included.
     """
     if any(lo >= hi for lo, hi in box):
-        return []
+        return None
     cell = list(box)
     for coord in range(1, strat.m + 1):
         if not mask & (1 << (coord - 1)):
             for a in axes_of(field, coord):
                 lo, hi = cell[a]
                 if not lo < 0 < hi:
-                    return []
+                    return None
                 cell[a] = (0, 0)
+    return tuple(cell)
+
+
+def _piece_cells(strat, field, mask, box):
+    """Cells of a box on the support piece V^[I] of the mask I: its pinned
+    cell, with the coordinates in I kept nonzero by split_nonzero."""
+    cell = _pinned(strat, field, mask, box)
+    if cell is None:
+        return []
     return split_nonzero(cell, [axes_of(field, i) for i in indices_of(mask)])
 
 

@@ -10,7 +10,7 @@ from strataglue.dm_strata import (
     gluing_bundle_rank,
     verify_dimension_matching,
 )
-from strataglue.fields import REAL
+from strataglue.fields import COMPLEX
 from strataglue.linear_strata import popcount, validate
 from strataglue.stable_graphs import StableGraph, enumerate_stable_graphs
 
@@ -151,9 +151,23 @@ class TestReport:
         before = dict(cache)
         dm_report(1, 1, with_atlas=True, atlas_cache=cache)
         assert cache == before
-        # keyed by field as well as classes: the same classes over C are a
-        # different model
-        assert all(field == REAL for field, _ in cache)
+        # keyed by field as well as classes: the charts are over C, and the
+        # same classes over R are a different model
+        assert all(field == COMPLEX for field, _ in cache)
+
+    def test_dimension_five_over_complex_charts(self):
+        """(2,2) and (1,5), 3g-3+n = 5, with one cache: every verdict of
+        every class holds on the complex charts."""
+        cache = {}
+        verdicts = ("dimension_matching", "functoriality", "equivariance",
+                    "atlas_compatible", "atlas_separated", "atlas_covers")
+        for (g, n), count in (((2, 2), 75), ((1, 5), 1576)):
+            rep = dm_report(g, n, with_atlas=True, atlas_cache=cache)
+            assert len(rep["classes"]) == count
+            for entry in rep["classes"]:
+                assert all(entry[v] for v in verdicts), entry["graph"]
+        assert len(cache) == 58
+        assert all(field == COMPLEX for field, _ in cache)
 
     def test_frozen_digest(self):
         # the reports of seven signatures, byte for byte

@@ -16,7 +16,9 @@ from strataglue.linear_strata import (LinearStratification, OrderError,
                                       enumerate_stratifications, mask_of,
                                       popcount)
 from strataglue.gluing_engine import (
+    STATS,
     EngineError,
+    GluingDatum,
     _exact_checks,
     build_atlas,
     check_compatible,
@@ -38,8 +40,10 @@ from strataglue.gluing_engine import (
     verify_cover,
     words_equal,
 )
-from strataglue.regions import (INF, Region, boundary_type, collar,
-                               region_contains, region_subset, whole_stratum)
+from strataglue.regions import (INF, Region, _piece_cells, _pinned,
+                               boundary_type, collar, full_box,
+                               region_contains, region_subset,
+                               uncovered_point, whole_stratum)
 from strataglue.stable_graphs import build_poset
 
 import oracles
@@ -608,6 +612,73 @@ def states_of(model):
             two_box_data(model, built)]
 
 
+def piece_one_datum(*sides):
+    """Data of M1 with only the stratum of the axis: its region holds the
+    open intervals sides on the piece {1}, in that order."""
+    return {1: GluingDatum(stratum=1, region=Region(1, tuple(
+        (1, (side,)) for side in sides)), scales=(Fraction(1),),
+        epsilon=Fraction(1), phi_word=(glue(1),),
+        bundle_words={1: (phi(1, 1),)})}
+
+
+class TestCoarseFirst:
+    """Each question is asked on the pinned boxes first, and on the split
+    cells only when they leave a gap."""
+
+    ORIGIN = (Fraction(0),)
+
+    def test_punctured_cells_covered_when_pinned_box_is_not(self):
+        # (-inf, 0) and (0, inf) miss 0, so the pinned box (-inf, inf) of
+        # the piece {1} is not covered; its cells (-inf, 0) and (0, inf) are
+        data = piece_one_datum((-INF, Fraction(0)), (Fraction(0), INF))
+        full = full_box(1)
+        boxes = [box for _, box in data[1].region.terms]
+        assert uncovered_point([_pinned(M1.strat, REAL, 1, full)],
+                               boxes) == self.ORIGIN
+        stats = dict.fromkeys(STATS, 0)
+        _, (ok, witnesses) = _exact_checks(M1, data, stats=stats)
+        # only the piece of the origin, which no datum holds, is uncovered
+        assert not ok and witnesses == (self.ORIGIN,)
+        assert stats["questions"] == 2
+        assert stats["decided_coarse"] == 0
+        assert stats["exact_fallbacks"] == 2
+
+    def test_witness_is_the_exact_paths_when_both_fail(self):
+        # the pinned box is first split at 0, the end of the first box, and
+        # its gap is the origin, off the piece; the exact cells are
+        # (-inf, 0), split at -1, and (0, inf), and the gap is -1
+        data = piece_one_datum((Fraction(0), INF), (-INF, Fraction(-1)))
+        full = full_box(1)
+        boxes = [box for _, box in data[1].region.terms]
+        coarse = uncovered_point([_pinned(M1.strat, REAL, 1, full)], boxes)
+        exact = uncovered_point(_piece_cells(M1.strat, REAL, 1, full), boxes)
+        assert coarse == self.ORIGIN and exact == (Fraction(-1),)
+        _, (ok, witnesses) = _exact_checks(M1, data)
+        assert not ok and witnesses == (self.ORIGIN, exact)
+
+    @pytest.mark.parametrize("model", BUILT_MODELS)
+    def test_built_atlas_needs_no_exact_question(self, model):
+        stats = build_atlas(model).stats
+        assert stats["questions"] == stats["decided_coarse"] > 0
+        assert stats["exact_fallbacks"] == 0
+
+
+class TestStats:
+    def test_two_builds_count_alike(self):
+        for model in (CHAIN3, SEP2C, SEP3, linear_model(seven_class_m3(2))):
+            first, second = build_atlas(model).stats, build_atlas(model).stats
+            assert first == second
+            assert tuple(first) == STATS
+            assert first["questions"] == (first["decided_coarse"]
+                                          + first["exact_fallbacks"])
+            assert first["order_rows"] == model.strat.num_classes
+            assert first["word_sets"] > 0
+
+    def test_kept_out_of_json(self):
+        rep = build_atlas(SEP2)
+        assert "stats" not in rep.to_json()
+
+
 class TestExactChecks:
     def test_verdicts_match_pointwise_oracle(self, data_states):
         model, states = data_states
@@ -796,10 +867,10 @@ def all_singleton(m, field):
         (J,) for J in sorted(range(1 << m), key=lambda J: (popcount(J), J))))
 
 
-@pytest.mark.parametrize("m,field", [(4, COMPLEX), (5, REAL)])
+@pytest.mark.parametrize("m,field", [(4, COMPLEX), (5, REAL), (5, COMPLEX)])
 def test_all_singleton_atlas_certified(m, field):
     """The largest models tier-1 builds: 16 strata over C^4 (8 real axes)
-    and 32 over R^5."""
+    and 32 over R^5 and over C^5 (10 real axes)."""
     rep = build_atlas(linear_model(all_singleton(m, field)))
     assert rep.all_compatible and rep.separation_ok and rep.cover_ok
 
