@@ -9,10 +9,17 @@ whose gluing bundle is a sum of one line per edge.  The checks here are the
 combinatorial shadows of the chart identities: dimension matching,
 functoriality of iterated contraction, and equivariance under the graph's
 automorphisms.
+
+A report over one signature (dm_report) shares, for its own duration, the
+poset's classes and one dimension per class, each computed once by the
+validating StableGraph.dimension: every contraction target is the poset's
+class of that key, and dimension matching reads each dimension from that
+table.  Called alone, each function builds and measures what it needs.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .fields import COMPLEX
@@ -36,6 +43,11 @@ class EdgeStratification:
         return len(self.targets)
 
 
+# (classes, dimensions), each by class key, that a running dm_report
+# shares; None outside one
+_SHARED = ContextVar("dm_report_shared", default=None)
+
+
 def gluing_bundle_rank(gc):
     """Rank of the sum of one line per node: the edge count."""
     return gc.graph.num_edges
@@ -49,8 +61,11 @@ def edge_stratification(gc):
     dimension |E|, which is validated on construction.  It is over C: a
     node is smoothed by the plumbing z*w = t with t complex, so the chart
     at the class is C^E modulo its automorphisms, stratified by which
-    gluing parameters vanish.
+    gluing parameters vanish.  Inside dm_report each target is the poset's
+    own class of its key; alone, the class the key serializes.
     """
+    shared = _SHARED.get()
+    class_of = _class_of if shared is None else shared[0].__getitem__
     graph = gc.graph
     ne = graph.num_edges
     contractions = tuple(
@@ -61,7 +76,7 @@ def edge_stratification(gc):
         groups.setdefault(_canonical_key(c.genera, c.edges, c.tails),
                           []).append(mask)
     targets = sorted(
-        ((_class_of(key), tuple(sorted(masks)))
+        ((class_of(key), tuple(sorted(masks)))
          for key, masks in groups.items()),
         key=lambda pair: (popcount(pair[1][0]), pair[1]))
     classes = tuple(masks for _, masks in targets)
@@ -73,16 +88,22 @@ def verify_dimension_matching(es):
     """Contracting k edges must raise the dimension by exactly k.
 
     Each class holds subsets of one size k, read off its first member: the
-    stratification is validated on construction.
+    stratification is validated on construction.  Inside dm_report each
+    dimension is read from the report's table, computed there once per
+    class.
     """
-    dim = es.graph_class.graph.dimension()
+    shared = _SHARED.get()
+    dims = shared[1] if shared is not None else {
+        c.key: c.graph.dimension()
+        for c in (es.graph_class, *(target for target, _ in es.targets))}
+    dim = dims[es.graph_class.key]
     violations = []
     for target, masks in es.targets:
         k = popcount(masks[0])
-        if dim + k != target.graph.dimension():
+        if dim + k != dims[target.key]:
             violations.append(
                 "%s: %d + %d != %d" % (target.describe(), dim, k,
-                                       target.graph.dimension()))
+                                       dims[target.key]))
     return {"ok": not violations, "violations": violations}
 
 
@@ -140,40 +161,51 @@ def aut_equivariance(es):
 def dm_report(g, n, with_atlas=True, atlas_cache=None):
     """Per-class verification report for one signature.
 
-    The atlas feed runs the gluing engine on the induced stratification of
-    each class; since the outcome depends only on the stratification, the
-    runs are cached by its field and class data.
+    One report shares what its classes have in common, for its own
+    duration only: every contraction target is the poset's own class,
+    looked up by its key, and each class's dimension is computed once (the
+    validating StableGraph.dimension) and read both by dimension matching
+    and by the entry.  The atlas feed runs the gluing engine on the induced
+    stratification of each class; since the outcome depends only on the
+    stratification, the runs are cached by its field and class data.
     """
     poset = build_poset(g, n)
     if atlas_cache is None:
         atlas_cache = {}
+    by_key = {gc.key: gc for gc in poset.elements}
+    dims = {key: gc.graph.dimension() for key, gc in by_key.items()}
+    token = _SHARED.set((by_key, dims))
     entries = []
-    for gc in poset.elements:
-        es = edge_stratification(gc)
-        dim_rep = verify_dimension_matching(es)
-        fun_rep = contraction_functoriality(es)
-        aut_rep = aut_equivariance(es)
-        entry = {
-            "graph": gc.describe(),
-            "edges": gc.graph.num_edges,
-            "dimension": gc.graph.dimension(),
-            "num_classes": es.num_classes,
-            "dimension_matching": dim_rep["ok"],
-            "functoriality": fun_rep["ok"],
-            "aut_order": aut_rep["aut_order"],
-            "equivariance": aut_rep["ok"],
-        }
-        if with_atlas:
-            key = (es.stratification.field, es.stratification.classes)
-            if key not in atlas_cache:
-                report = build_atlas(linear_model(es.stratification))
-                atlas_cache[key] = (report.all_compatible,
-                                    report.separation_ok, report.cover_ok)
-            compatible, separated, covered = atlas_cache[key]
-            entry["atlas_compatible"] = compatible
-            entry["atlas_separated"] = separated
-            entry["atlas_covers"] = covered
-        entries.append(entry)
+    try:
+        for gc in poset.elements:
+            es = edge_stratification(gc)
+            dim_rep = verify_dimension_matching(es)
+            fun_rep = contraction_functoriality(es)
+            aut_rep = aut_equivariance(es)
+            entry = {
+                "graph": gc.describe(),
+                "edges": gc.graph.num_edges,
+                "dimension": dims[gc.key],
+                "num_classes": es.num_classes,
+                "dimension_matching": dim_rep["ok"],
+                "functoriality": fun_rep["ok"],
+                "aut_order": aut_rep["aut_order"],
+                "equivariance": aut_rep["ok"],
+            }
+            if with_atlas:
+                key = (es.stratification.field, es.stratification.classes)
+                if key not in atlas_cache:
+                    report = build_atlas(linear_model(es.stratification))
+                    atlas_cache[key] = (report.all_compatible,
+                                        report.separation_ok,
+                                        report.cover_ok)
+                compatible, separated, covered = atlas_cache[key]
+                entry["atlas_compatible"] = compatible
+                entry["atlas_separated"] = separated
+                entry["atlas_covers"] = covered
+            entries.append(entry)
+    finally:
+        _SHARED.reset(token)
     ok = all(e["dimension_matching"] and e["functoriality"]
              and e["equivariance"]
              and e.get("atlas_compatible", True)

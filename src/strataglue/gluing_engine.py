@@ -216,17 +216,17 @@ class StratifiedModel:
         return self.strat.field
 
     def canonical_datum(self, a, epsilon=Fraction(1), scales=None):
-        m = self.strat.m
+        """The identity chart over the whole stratum a.
+
+        Its words are built in normal form: GLUE(a), the empty word over a
+        itself and PHI(a, b) over each b above; so only the radius and the
+        scales are checked.
+        """
         if scales is None:
-            scales = tuple(Fraction(1) for _ in range(m))
-        return GluingDatum(
-            stratum=a,
-            region=whole_stratum(self.strat, self.field, a),
-            scales=tuple(scales),
-            epsilon=Fraction(epsilon),
-            phi_word=(glue(a),),
-            bundle_words={b: (phi(a, b),) for b in self.strat.above(a)},
-        )
+            scales = tuple(Fraction(1) for _ in range(self.strat.m))
+        epsilon, scales = Fraction(epsilon), tuple(scales)
+        _check_metric(epsilon, scales)
+        return _canonical(self, a, self.strat.above(a), epsilon, scales)
 
     def to_json(self):
         return {"stratification": self.strat.to_json(),
@@ -256,6 +256,25 @@ def linear_model(strat):
                            layers=tuple(tuple(layer) for layer in layers))
 
 
+def _canonical(model, a, above_a, epsilon, scales):
+    """canonical_datum unchecked, on above_a = strat.above(a)."""
+    return GluingDatum._of(
+        stratum=a,
+        region=whole_stratum(model.strat, model.field, a),
+        scales=scales,
+        epsilon=epsilon,
+        phi_word=(glue(a),),
+        bundle_words={b: (phi(a, b),) if b != a else () for b in above_a},
+    )
+
+
+def _check_metric(epsilon, scales):
+    if epsilon <= 0:
+        raise EngineError("radius must be positive")
+    if any(s <= 0 for s in scales):
+        raise EngineError("metric scales must be positive")
+
+
 @dataclass(frozen=True)
 class GluingDatum:
     """Chart data over one stratum: region, metric scales, radius, words."""
@@ -268,14 +287,19 @@ class GluingDatum:
     bundle_words: dict
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise EngineError("radius must be positive")
-        if any(s <= 0 for s in self.scales):
-            raise EngineError("metric scales must be positive")
+        _check_metric(self.epsilon, self.scales)
         object.__setattr__(self, "phi_word", normalize(self.phi_word))
         object.__setattr__(self, "bundle_words",
                            {b: normalize(w)
                             for b, w in sorted(self.bundle_words.items())})
+
+    @classmethod
+    def _of(cls, **parts):
+        """Unchecked datum from a positive metric and normal-form words,
+        bundle words in stratum order."""
+        datum = object.__new__(cls)
+        datum.__dict__.update(parts)
+        return datum
 
     def to_json(self):
         return {
@@ -652,27 +676,31 @@ def build_atlas(model):
     builds no chart image.  The class order is computed once, as the table
     of strat.above rows that the radius loop, the exact checks and the
     compatibility of every pair share, and each datum's words over each
-    stratum once; nothing outlives the call.  The report's stats count
-    this work (STATS).
+    stratum once; nothing outlives the call.  Each canonical datum is
+    built on its row of that table with its words already in normal form,
+    and a capped radius copies the datum as it is, so no word is normalized
+    again.  The report's stats count this work (STATS).
     """
     strat = model.strat
     above = _order(strat)
     stats = dict.fromkeys(STATS, 0)
     stats["order_rows"] = len(above)
+    ones = tuple(Fraction(1) for _ in range(strat.m))
     data = {}
     for layer in model.layers:
         for a in layer:
             if not data:
-                data[a] = model.canonical_datum(a)
+                data[a] = _canonical(model, a, above[a], Fraction(1), ones)
                 continue
             eps = min(d.epsilon for d in data.values()) / 2
             below = [g for g in data if a in above[g]]
-            data[a] = model.canonical_datum(a, epsilon=eps)
+            data[a] = _canonical(model, a, above[a], eps, ones)
             if below:
                 half = min(data[g].epsilon for g in below) / 4
                 for g in below:
                     if data[g].epsilon > half:
-                        data[g] = replace(data[g], epsilon=half)
+                        data[g] = GluingDatum._of(
+                            **{**vars(data[g]), "epsilon": half})
     (sep_ok, sep_wit), (cover_ok, cover_wit) = _exact_checks(
         model, data, above, stats)
     compatible = _compatibility(

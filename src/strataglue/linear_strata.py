@@ -200,11 +200,16 @@ def validate(m, classes, field=REAL):
     if not violations:
         # frontier condition: if one support of a class fits inside some
         # support of another class, all of them must (a stratum closure
-        # meeting another stratum has to contain it)
+        # meeting another stratum has to contain it).  By here each class
+        # has one cardinality, and I inside J needs |I| <= |J|, with I = J
+        # when equal, which the partition rules out: only a pair from a
+        # smaller cardinality to a larger one can fail.
+        size = [popcount(masks[0]) for masks in classes]
         n = len(classes)
         for a in range(n):
             for b in range(n):
-                if a != b and _partially_meets(classes[a], classes[b]):
+                if size[a] < size[b] and _partially_meets(classes[a],
+                                                          classes[b]):
                     violations.append(
                         "class %d partially meets the closure of class %d"
                         % (a, b))

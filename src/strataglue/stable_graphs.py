@@ -39,18 +39,26 @@ class StabilityError(GraphError):
 
 
 def _components(nv, edges):
-    """Union-find root of each of the nv vertices under the given edges."""
+    """Each of the nv vertices' smallest component vertex under the edges.
+
+    A union-find that always links the larger root under the smaller one,
+    so every vertex's parent is at most the vertex itself; one pass in
+    vertex order then sends each vertex to its root, whose own entry is
+    already final.
+    """
     parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in edges:
-        parent[find(u)] = find(v)
-    return [find(v) for v in range(nv)]
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u < v:
+            parent[v] = u
+        else:
+            parent[u] = v
+    for v in range(nv):
+        parent[v] = parent[parent[v]]
+    return parent
 
 
 @dataclass(frozen=True)
@@ -133,24 +141,29 @@ class StableGraph:
         Surviving edges keep their relative order.
         """
         D = set(edge_ids)
+        all_edges, old_genera = self.edges, self.genera
         for e in D:
-            if not 0 <= e < self.num_edges:
+            if not 0 <= e < len(all_edges):
                 raise GraphError("edge id %r not in graph" % (e,))
-        comp_of = _components(self.num_vertices, [self.edges[e] for e in D])
-        new_id = {}  # components numbered by first vertex seen
-        new_of = [new_id.setdefault(r, len(new_id)) for r in comp_of]
-        genera = [1] * len(new_id)
-        for v, i in enumerate(new_of):
-            genera[i] += self.genera[v] - 1
-        for e in D:
-            genera[new_of[self.edges[e][0]]] += 1
+        root = _components(len(old_genera), [all_edges[e] for e in D])
+        new_of = []  # components numbered by root, their first vertex
+        genera = []
+        for v, r in enumerate(root):
+            if r == v:
+                new_of.append(len(genera))
+                genera.append(old_genera[v])
+            else:
+                new_of.append(new_of[r])
+                genera[new_of[r]] += old_genera[v] - 1
         edges = []
-        for e, (u, v) in enumerate(self.edges):
-            if e not in D:
+        for e, (u, v) in enumerate(all_edges):
+            if e in D:
+                genera[new_of[u]] += 1
+            else:
                 a, b = new_of[u], new_of[v]
                 edges.append((a, b) if a <= b else (b, a))
         return StableGraph._of(tuple(genera), tuple(edges),
-                               tuple(new_of[v] for v in self.tails))
+                               tuple(map(new_of.__getitem__, self.tails)))
 
     def surviving_edge_map(self, edge_ids):
         """Old edge id -> new edge id after contracting ``edge_ids``."""

@@ -3,12 +3,15 @@
 Everything here is written against the definitions directly, sharing no code
 paths with the package: a naive stable-graph generator with explicit
 permutation-search isomorphism testing, a GF(2) cycle-space rank for the
-first Betti number, the transitive closure of a relation, orbifold Euler
+first Betti number, simultaneous edge contraction by a union-find with a
+separate numbering pass, the transitive closure of a relation, orbifold Euler
 characteristics of moduli spaces of curves (Harer-Zagier's open values
 summed over a stratification, and Keel's genus-0 recursion), a pointwise
 normal-fiber stratifier on 0/1 grids, the
-class order and its peeled layers tested on every support, every
-stratification by filtering all products of per-size partitions, a pointwise
+class order and its peeled layers tested on every support, the validation
+of a stratification with the frontier condition tested on every ordered
+pair of classes, every stratification by filtering all products of per-size
+partitions, a pointwise
 decision of covers by unions of open boxes (and of the separation and cover
 of chart images), and a quadrature for hyperbolic horocycle lengths.
 """
@@ -199,6 +202,46 @@ def gf2_cycle_rank(nv, edges):
 
 
 # ---------------------------------------------------------------------------
+# simultaneous edge contraction, as first defined
+
+def contract_by_closure(genera, edges, tails, edge_ids):
+    """(genera, edges, tails) of the graph with edge_ids contracted.
+
+    A union-find with a nested find joins the contracted edges' ends, and a
+    second pass numbers the components by the first vertex seen.  Each
+    component's weight is its members' weights plus its first Betti number;
+    surviving edges keep their order, each with its smaller end first.
+    """
+    D = set(edge_ids)
+    parent = list(range(len(genera)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in D:
+        u, v = edges[e]
+        parent[find(u)] = find(v)
+    comp_of = [find(v) for v in range(len(genera))]
+    new_id = {}
+    new_of = [new_id.setdefault(r, len(new_id)) for r in comp_of]
+    new_genera = [1] * len(new_id)
+    for v, i in enumerate(new_of):
+        new_genera[i] += genera[v] - 1
+    for e in D:
+        new_genera[new_of[edges[e][0]]] += 1
+    new_edges = []
+    for e, (u, v) in enumerate(edges):
+        if e not in D:
+            a, b = new_of[u], new_of[v]
+            new_edges.append((a, b) if a <= b else (b, a))
+    return (tuple(new_genera), tuple(new_edges),
+            tuple(new_of[v] for v in tails))
+
+
+# ---------------------------------------------------------------------------
 # the strict order of a poset, as the transitive closure of its covers
 
 def transitive_closure(pairs):
@@ -345,27 +388,75 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-def stratifications_by_product(m):
-    """Class tuples of every stratification of K^m, in enumeration order.
-
-    Every product of set partitions of the supports of each size is built,
-    and kept when no class has some, but not all, of its supports inside a
-    support of another class (the frontier condition, tested on every
-    ordered pair of classes).
-    """
+def product_candidates(m):
+    """Every product of set partitions of the supports of each size, as a
+    class tuple, in enumeration order."""
     levels = []
     for k in range(m + 1):
         supports = [sum(1 << (i - 1) for i in c)
                     for c in itertools.combinations(range(1, m + 1), k)]
         levels.append([tuple(sorted(tuple(sorted(g)) for g in part))
                        for part in _set_partitions(supports)])
-    found = []
     for combo in itertools.product(*levels):
-        classes = tuple(g for part in combo for g in part)
-        if all(len({any(I & J == I for J in B) for I in A}) == 1
-               for A in classes for B in classes if A != B):
-            found.append(classes)
-    return found
+        yield tuple(g for part in combo for g in part)
+
+
+def stratifications_by_product(m):
+    """Class tuples of every stratification of K^m, in enumeration order.
+
+    Every product candidate is kept when no class has some, but not all, of
+    its supports inside a support of another class (the frontier condition,
+    tested on every ordered pair of classes).
+    """
+    return [classes for classes in product_candidates(m)
+            if all(len({any(I & J == I for J in B) for I in A}) == 1
+                   for A in classes for B in classes if A != B)]
+
+
+def validate_all_pairs(m, classes, field):
+    """(ok, violations) of a stratification, with the package's messages.
+
+    The ground field, then per class emptiness, mixed cardinalities, range
+    and repeats, then missing subsets; only when all of those pass, the
+    frontier condition on every ordered pair of distinct classes.
+    """
+    def indices(I):
+        return [i + 1 for i in range(m) if I >> i & 1]
+
+    violations = []
+    if field not in ("R", "C"):
+        violations.append("unknown ground field %r" % (field,))
+    seen = {}
+    for a, masks in enumerate(classes):
+        if not masks:
+            violations.append("class %d is empty" % a)
+            continue
+        sizes = sorted({bin(I).count("1") for I in masks})
+        if len(sizes) > 1:
+            violations.append("class %d mixes cardinalities %s"
+                              % (a, sizes))
+        for I in masks:
+            if not 0 <= I < (1 << m):
+                violations.append("class %d contains an out-of-range subset"
+                                  % a)
+            elif I in seen:
+                violations.append("subset %s appears in classes %d and %d"
+                                  % (indices(I), seen[I], a))
+            else:
+                seen[I] = a
+    missing = [indices(I) for I in range(1 << m) if I not in seen]
+    if missing:
+        violations.append("subsets missing from the partition: %s"
+                          % missing)
+    if not violations:
+        for a, A in enumerate(classes):
+            for b, B in enumerate(classes):
+                inside = {any(I & J == I for J in B) for I in A}
+                if a != b and len(inside) == 2:
+                    violations.append(
+                        "class %d partially meets the closure of class %d"
+                        % (a, b))
+    return not violations, tuple(violations)
 
 
 # ---------------------------------------------------------------------------

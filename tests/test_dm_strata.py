@@ -2,6 +2,9 @@ import hashlib
 import json
 from dataclasses import replace
 
+import pytest
+
+from strataglue import dm_strata
 from strataglue.dm_strata import (
     aut_equivariance,
     contraction_functoriality,
@@ -12,7 +15,8 @@ from strataglue.dm_strata import (
 )
 from strataglue.fields import COMPLEX
 from strataglue.linear_strata import popcount, validate
-from strataglue.stable_graphs import StableGraph, enumerate_stable_graphs
+from strataglue.stable_graphs import (StableGraph, build_poset,
+                                      enumerate_stable_graphs)
 
 
 def G(genera, edges, tails):
@@ -176,3 +180,59 @@ class TestReport:
             h.update(json.dumps(dm_report(g, n), sort_keys=True).encode())
         assert h.hexdigest() == ("772a16de72c605b172ad4fcc58986fdc"
                                  "8732c6da5e519dee58a5df80dde2064a")
+
+
+def public_report(g, n):
+    """dm_report without the atlas, class by class through the public
+    functions: edge_stratification, then the three checks."""
+    entries = []
+    for gc in build_poset(g, n).elements:
+        es = edge_stratification(gc)
+        dim_rep = verify_dimension_matching(es)
+        fun_rep = contraction_functoriality(es)
+        aut_rep = aut_equivariance(es)
+        entries.append({
+            "graph": gc.describe(),
+            "edges": gc.graph.num_edges,
+            "dimension": gc.graph.dimension(),
+            "num_classes": es.num_classes,
+            "dimension_matching": dim_rep["ok"],
+            "functoriality": fun_rep["ok"],
+            "aut_order": aut_rep["aut_order"],
+            "equivariance": aut_rep["ok"],
+        })
+    ok = all(e["dimension_matching"] and e["functoriality"]
+             and e["equivariance"] for e in entries)
+    return {"signature": [g, n], "ok": ok, "classes": entries}
+
+
+class TestSharedPerReport:
+    @pytest.mark.parametrize("g,n", [(1, 3), (0, 5)])
+    def test_one_dimension_per_class(self, g, n, monkeypatch):
+        """dm_report computes each class's dimension once, and its report
+        is the one the public per-class path gives."""
+        calls = []
+        dimension = StableGraph.dimension
+
+        def counted(graph):
+            calls.append(graph)
+            return dimension(graph)
+
+        monkeypatch.setattr(StableGraph, "dimension", counted)
+        report = dm_report(g, n, with_atlas=False)
+        assert len(calls) == len(report["classes"])
+        monkeypatch.undo()
+        assert report == public_report(g, n)
+
+    def test_shared_table_ends_with_the_report(self, monkeypatch):
+        """The table a report shares is gone when it returns or raises."""
+        dm_report(0, 5, with_atlas=False)
+        assert dm_strata._SHARED.get() is None
+
+        def fail(es):
+            raise RuntimeError("check failed")
+
+        monkeypatch.setattr(dm_strata, "aut_equivariance", fail)
+        with pytest.raises(RuntimeError):
+            dm_report(0, 5, with_atlas=False)
+        assert dm_strata._SHARED.get() is None

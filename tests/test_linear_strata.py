@@ -29,6 +29,12 @@ def strat(m, classes, field=REAL):
 
 
 CHAIN2 = strat(2, [[()], [(1,), (2,)], [(1, 2)]])
+# {1} fits inside {1,3} but {2} does not: the class {{1},{2}} meets the
+# closure of {{1,3}} without being contained in it
+FRONTIER_FAILURE = ((0,), (mask_of((1,)), mask_of((2,))), (mask_of((3,)),),
+                    (mask_of((1, 3)),),
+                    (mask_of((1, 2)), mask_of((2, 3))),
+                    (mask_of((1, 2, 3)),))
 
 
 class TestValidate:
@@ -55,15 +61,26 @@ class TestValidate:
         assert not report.ok
 
     def test_frontier_violation_invalid(self):
-        # {1} fits inside {1,3} but {2} does not: the class {{1},{2}} meets
-        # the closure of {{1,3}} without being contained in it
-        classes = ((0,), (mask_of((1,)), mask_of((2,))), (mask_of((3,)),),
-                   (mask_of((1, 3)),),
-                   (mask_of((1, 2)), mask_of((2, 3))),
-                   (mask_of((1, 2, 3)),))
-        report = validate(3, classes)
+        report = validate(3, FRONTIER_FAILURE)
         assert not report.ok
         assert any("closure" in v for v in report.violations)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_matches_all_pairs_reference(self, field):
+        """The frontier loop tests only pairs from a smaller cardinality to
+        a larger one; the reference tests every ordered pair.  The whole
+        report agrees on every product of per-size set partitions for
+        m <= 3, accepted or rejected, and on the frontier failure."""
+        candidates = [(m, classes) for m in range(4)
+                      for classes in oracles.product_candidates(m)]
+        candidates.append((3, FRONTIER_FAILURE))
+        rejected = 0
+        for m, classes in candidates:
+            report = validate(m, classes, field)
+            assert (report.ok, report.violations) == (
+                oracles.validate_all_pairs(m, classes, field)), classes
+            rejected += not report.ok
+        assert (len(candidates), rejected) == (30, 14)
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(StratificationError):

@@ -99,6 +99,28 @@ class TestContract:
         with pytest.raises(GraphError):
             G([1], [(0, 0)], [0]).contract({3})
 
+    @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (2, 2), (3, 0)])
+    def test_matches_closure_reference(self, g, n):
+        """contract equals the closure-based definition as a labelled graph
+        (genera, edges, tails and vertex numbering) on every edge subset of
+        every class, and of a seeded relabelling of it; an edge id out of
+        range raises."""
+        rng = random.Random(10 * g + n)
+        for gc in enumerate_stable_graphs(g, n):
+            perm = list(range(gc.graph.num_vertices))
+            rng.shuffle(perm)
+            for graph in (gc.graph, gc.graph.relabeled(perm)):
+                ne = graph.num_edges
+                for mask in range(1 << ne):
+                    D = {e for e in range(ne) if mask >> e & 1}
+                    c = graph.contract(D)
+                    assert (c.genera, c.edges, c.tails) == (
+                        oracles.contract_by_closure(
+                            graph.genera, graph.edges, graph.tails, D))
+                for bad in (-1, ne):
+                    with pytest.raises(GraphError):
+                        graph.contract({0, bad} if ne else {bad})
+
     def test_genus_and_stability_preserved(self):
         for gc in enumerate_stable_graphs(1, 2):
             g = gc.graph
