@@ -20,23 +20,27 @@ table.  Called alone, each function builds and measures what it needs.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
 
+from . import Record, _set
 from .fields import COMPLEX
 from .gluing_engine import build_atlas, linear_model
 from .linear_strata import LinearStratification, popcount
-from .stable_graphs import (GraphClass, _canonical_key, _class_of,
-                            automorphism_group, build_poset)
+from .stable_graphs import (_canonical_key, _class_of, automorphism_group,
+                            build_poset)
 
 
-@dataclass(frozen=True)
-class EdgeStratification:
+class EdgeStratification(Record):
     """Partition of the edge power set by contraction target."""
 
-    graph_class: GraphClass
-    targets: tuple  # (target GraphClass, tuple of edge masks) per class
-    stratification: LinearStratification
-    contractions: tuple  # the labelled contracted graph per edge mask
+    # targets: (target GraphClass, tuple of edge masks) per class;
+    # contractions: the labelled contracted graph per edge mask
+    __slots__ = ("graph_class", "targets", "stratification", "contractions")
+
+    def __init__(self, graph_class, targets, stratification, contractions):
+        _set(self, "graph_class", graph_class)
+        _set(self, "targets", targets)
+        _set(self, "stratification", stratification)
+        _set(self, "contractions", contractions)
 
     @property
     def num_classes(self):

@@ -44,9 +44,9 @@ for one build_atlas call only; AtlasReport.stats counts that work.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from . import Record, _set, replace
 from .fields import box_abs, from_real_parts, real_axes, zero
 from .linear_strata import (LinearStratification, OrderError, indices_of,
                             popcount)
@@ -206,10 +206,8 @@ def words_equal(strat, field, w1, w2, chain_classes, count=100):
 # ---------------------------------------------------------------------------
 # model and gluing data
 
-@dataclass(frozen=True)
-class StratifiedModel:
-    strat: LinearStratification
-    layers: tuple
+class StratifiedModel(Record):
+    __slots__ = ("strat", "layers")
 
     @property
     def field(self):
@@ -275,30 +273,35 @@ def _check_metric(epsilon, scales):
         raise EngineError("metric scales must be positive")
 
 
-@dataclass(frozen=True)
-class GluingDatum:
+class GluingDatum(Record):
     """Chart data over one stratum: region, metric scales, radius, words."""
 
-    stratum: int
-    region: Region
-    scales: tuple  # positive rational scale per field coordinate
-    epsilon: Fraction
-    phi_word: tuple
-    bundle_words: dict
+    # scales: positive rational scale per field coordinate
+    __slots__ = ("stratum", "region", "scales", "epsilon", "phi_word",
+                 "bundle_words")
 
-    def __post_init__(self):
-        _check_metric(self.epsilon, self.scales)
-        object.__setattr__(self, "phi_word", normalize(self.phi_word))
-        object.__setattr__(self, "bundle_words",
-                           {b: normalize(w)
-                            for b, w in sorted(self.bundle_words.items())})
+    def __init__(self, stratum, region, scales, epsilon, phi_word,
+                 bundle_words):
+        _check_metric(epsilon, scales)
+        _set(self, "stratum", stratum)
+        _set(self, "region", region)
+        _set(self, "scales", scales)
+        _set(self, "epsilon", epsilon)
+        _set(self, "phi_word", normalize(phi_word))
+        _set(self, "bundle_words",
+             {b: normalize(w) for b, w in sorted(bundle_words.items())})
 
     @classmethod
-    def _of(cls, **parts):
+    def _of(cls, stratum, region, scales, epsilon, phi_word, bundle_words):
         """Unchecked datum from a positive metric and normal-form words,
         bundle words in stratum order."""
         datum = object.__new__(cls)
-        datum.__dict__.update(parts)
+        _set(datum, "stratum", stratum)
+        _set(datum, "region", region)
+        _set(datum, "scales", scales)
+        _set(datum, "epsilon", epsilon)
+        _set(datum, "phi_word", phi_word)
+        _set(datum, "bundle_words", bundle_words)
         return datum
 
     def to_json(self):
@@ -532,17 +535,12 @@ def _compatibility(model, above, data, pairs, stats=None):
 # ---------------------------------------------------------------------------
 # atlas construction
 
-@dataclass(frozen=True)
-class AtlasReport:
-    model: StratifiedModel
-    data: dict  # stratum -> GluingDatum
-    passes: int
-    compatible: dict  # (a, b) -> bool
-    separation_ok: bool
-    separation_witnesses: tuple
-    cover_ok: bool
-    cover_witnesses: tuple
-    stats: dict  # counts of the build's work (STATS), left out of to_json
+class AtlasReport(Record):
+    # data: stratum -> GluingDatum; compatible: (a, b) -> bool; stats:
+    # counts of the build's work (STATS), left out of to_json
+    __slots__ = ("model", "data", "passes", "compatible", "separation_ok",
+                 "separation_witnesses", "cover_ok", "cover_witnesses",
+                 "stats")
 
     @property
     def all_compatible(self):
@@ -698,9 +696,11 @@ def build_atlas(model):
             if below:
                 half = min(data[g].epsilon for g in below) / 4
                 for g in below:
-                    if data[g].epsilon > half:
+                    d = data[g]
+                    if d.epsilon > half:
                         data[g] = GluingDatum._of(
-                            **{**vars(data[g]), "epsilon": half})
+                            d.stratum, d.region, d.scales, half, d.phi_word,
+                            d.bundle_words)
     (sep_ok, sep_wit), (cover_ok, cover_wit) = _exact_checks(
         model, data, above, stats)
     compatible = _compatibility(

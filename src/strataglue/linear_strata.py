@@ -12,8 +12,8 @@ integer bitmasks throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from . import Record, _set
 from .fields import COMPLEX, REAL, is_zero
 
 
@@ -47,18 +47,19 @@ def popcount(mask):
     return bin(mask).count("1")
 
 
-@dataclass(frozen=True)
-class LinearStratification:
+class LinearStratification(Record):
     """Partition of the power set of {1..m} into equal-cardinality classes."""
 
-    m: int
-    field: str
-    classes: tuple  # tuple of sorted tuples of bitmasks
+    # classes: tuple of sorted tuples of bitmasks
+    __slots__ = ("m", "field", "classes")
 
-    def __post_init__(self):
-        report = validate(self.m, self.classes, self.field)
+    def __init__(self, m, field, classes):
+        report = validate(m, classes, field)
         if not report.ok:
             raise StratificationError("; ".join(report.violations))
+        _set(self, "m", m)
+        _set(self, "field", field)
+        _set(self, "classes", classes)
 
     @property
     def num_classes(self):
@@ -152,10 +153,12 @@ class LinearStratification:
         return cls(int(data["m"]), data["field"], classes)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple
+class ValidationReport(Record):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok, violations):
+        _set(self, "ok", ok)
+        _set(self, "violations", violations)
 
     def to_json(self):
         return {"ok": self.ok, "violations": list(self.violations)}

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Record, _set
 from .fields import GaussianRational
 
 TWO_PI = 2 * math.pi
@@ -56,16 +56,14 @@ def _coerce(x):
     raise PlumbingError("expected an exact complex value, got %r" % (x,))
 
 
-@dataclass(frozen=True)
-class PlumbingFixture:
+class PlumbingFixture(Record):
     """Gluing parameter t and radius delta with 0 < |t| < delta^2."""
 
-    t: GaussianRational
-    delta: Fraction
+    __slots__ = ("t", "delta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", _coerce(self.t))
-        object.__setattr__(self, "delta", Fraction(self.delta))
+    def __init__(self, t, delta):
+        _set(self, "t", _coerce(t))
+        _set(self, "delta", Fraction(delta))
         if self.delta <= 0:
             raise PlumbingError("delta must be positive")
         if not self.t:
@@ -132,24 +130,19 @@ def excision_region(ts, delta):
     return out
 
 
-@dataclass(frozen=True)
-class HorocycleStructure:
+class HorocycleStructure(Record):
     """Metric scale, certified radius, and normalized series chart.
 
     coefficients[k] is a_{k+1}, so coefficients[0] is the linear term and
     must be 1; the constant term is implicitly 0.
     """
 
-    scale: Fraction
-    delta: Fraction
-    coefficients: tuple
+    __slots__ = ("scale", "delta", "coefficients")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        object.__setattr__(self, "delta", Fraction(self.delta))
-        object.__setattr__(
-            self, "coefficients",
-            tuple(_coerce(c) for c in self.coefficients))
+    def __init__(self, scale, delta, coefficients):
+        _set(self, "scale", Fraction(scale))
+        _set(self, "delta", Fraction(delta))
+        _set(self, "coefficients", tuple(_coerce(c) for c in coefficients))
 
     @property
     def degree(self):

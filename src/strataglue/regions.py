@@ -12,9 +12,9 @@ are the +/- infinity sentinels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Record, _set
 from .fields import real_axes, real_parts
 from .linear_strata import indices_of
 
@@ -41,14 +41,17 @@ def axes_of(field, coord):
     return tuple(range(k * (coord - 1), k * coord))
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """Union of terms (J, box) over the stratum of class cls.
 
     A term holds the points of support exactly J that lie in the box."""
 
-    cls: int
-    terms: tuple  # each (J, box): a support bitmask and (lo, hi) intervals
+    # terms: each (J, box), a support bitmask and (lo, hi) intervals
+    __slots__ = ("cls", "terms")
+
+    def __init__(self, cls, terms):
+        _set(self, "cls", cls)
+        _set(self, "terms", terms)
 
     def intersect(self, other):
         if self.cls != other.cls:

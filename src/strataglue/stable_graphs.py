@@ -23,7 +23,8 @@ stability, valence, canonical keys and automorphisms all read.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+
+from . import Record, _set
 
 
 class GraphError(ValueError):
@@ -61,8 +62,7 @@ def _components(nv, edges):
     return parent
 
 
-@dataclass(frozen=True)
-class StableGraph:
+class StableGraph(Record):
     """A weighted dual graph.
 
     ``genera[v]`` is the genus weight of vertex ``v`` (vertices are
@@ -72,29 +72,30 @@ class StableGraph:
     ``tails[k]`` is the vertex carrying the tail labelled ``k + 1``.
     """
 
-    genera: tuple
-    edges: tuple
-    tails: tuple
+    __slots__ = ("genera", "edges", "tails")
 
-    def __post_init__(self):
-        genera = tuple(int(g) for g in self.genera)
+    def __init__(self, genera, edges, tails):
+        genera = tuple(int(g) for g in genera)
         if not genera:
             raise GraphError("graph needs at least one vertex")
         if any(g < 0 for g in genera):
             raise GraphError("genus weights must be nonnegative")
         nv = len(genera)
-        edges = []
-        for e in self.edges:
+        normal = []
+        for e in edges:
             u, v = e
             if not (0 <= u < nv and 0 <= v < nv):
                 raise GraphError("edge endpoint out of range: %r" % (e,))
-            edges.append((u, v) if u <= v else (v, u))
-        tails = tuple(int(t) for t in self.tails)
+            normal.append((u, v) if u <= v else (v, u))
+        tails = tuple(int(t) for t in tails)
         if any(not 0 <= t < nv for t in tails):
             raise GraphError("tail vertex out of range")
-        object.__setattr__(self, "genera", genera)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "tails", tails)
+        _set(self, "genera", genera)
+        _set(self, "edges", tuple(normal))
+        _set(self, "tails", tails)
+
+    def _compared(self):  # Record's, spelled out: graphs compare often
+        return self.genera, self.edges, self.tails
 
     @property
     def num_vertices(self):
@@ -187,7 +188,9 @@ class StableGraph:
     def _of(cls, genera, edges, tails):
         """Unchecked graph from normal-form parts (int tuples, u <= v)."""
         graph = object.__new__(cls)
-        graph.__dict__.update(genera=genera, edges=edges, tails=tails)
+        _set(graph, "genera", genera)
+        _set(graph, "edges", edges)
+        _set(graph, "tails", tails)
         return graph
 
     def canonical_form(self):
@@ -229,12 +232,17 @@ class StableGraph:
         return "g=(%s);e=(%s);t=(%s)" % (gs, es, ts)
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(Record):
     """Isomorphism class of stable graphs, keyed by canonical encoding."""
 
-    key: tuple
-    graph: StableGraph = field(compare=False)
+    __slots__ = ("key", "graph")
+
+    def __init__(self, key, graph):
+        _set(self, "key", key)
+        _set(self, "graph", graph)
+
+    def _compared(self):  # equality and the hash read the key alone
+        return (self.key,)
 
     def describe(self):
         return self.graph.describe()
@@ -287,21 +295,26 @@ def _class_of(key):
                                            key[2], key[3]))
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Record):
     """Structure-preserving permutation fixing every labelled tail."""
 
-    vertex_perm: tuple
-    half_edge_map: tuple  # ((e, h) image indexed by 2*e + h)
+    # half_edge_map: (e, h) image indexed by 2*e + h
+    __slots__ = ("vertex_perm", "half_edge_map")
+
+    def __init__(self, vertex_perm, half_edge_map):
+        _set(self, "vertex_perm", vertex_perm)
+        _set(self, "half_edge_map", half_edge_map)
 
     def edge_perm(self):
         return tuple(self.half_edge_map[2 * e][0]
                      for e in range(len(self.half_edge_map) // 2))
 
 
-@dataclass(frozen=True)
-class AutomorphismGroup:
-    elements: tuple
+class AutomorphismGroup(Record):
+    __slots__ = ("elements",)
+
+    def __init__(self, elements):
+        _set(self, "elements", elements)
 
     @property
     def order(self):
@@ -439,8 +452,7 @@ def enumerate_stable_graphs(g, n):
     return _degeneration_pass(g, n)[0]
 
 
-@dataclass(frozen=True)
-class StrataPoset:
+class StrataPoset(Record):
     """Contraction poset of graph classes for one type (g, n).
 
     ``covers`` holds the one-edge contractions as index pairs ``(a, b)``:
@@ -453,11 +465,7 @@ class StrataPoset:
     no edges.
     """
 
-    signature: tuple
-    elements: tuple
-    covers: frozenset
-    layers: tuple
-    top: int
+    __slots__ = ("signature", "elements", "covers", "layers", "top")
 
     def to_json(self):
         return {

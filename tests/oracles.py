@@ -11,7 +11,7 @@ normal-fiber stratifier on 0/1 grids, the
 class order and its peeled layers tested on every support, the validation
 of a stratification with the frontier condition tested on every ordered
 pair of classes, every stratification by filtering all products of per-size
-partitions, a pointwise
+partitions, a coordinate relabelling of a stratification, a pointwise
 decision of covers by unions of open boxes (and of the separation and cover
 of chart images), and a quadrature for hyperbolic horocycle lengths.
 """
@@ -411,6 +411,18 @@ def stratifications_by_product(m):
     return [classes for classes in product_candidates(m)
             if all(len({any(I & J == I for J in B) for I in A}) == 1
                    for A in classes for B in classes if A != B)]
+
+
+def relabeled_classes(classes, perm):
+    """The class tuple with coordinate i moved to perm[i - 1] (1-based).
+
+    Each class keeps its index and its supports are sorted again, so class
+    a of the result is the image of class a.
+    """
+    def move(mask):
+        return sum(1 << (perm[i] - 1) for i in range(len(perm))
+                   if mask >> i & 1)
+    return tuple(tuple(sorted(map(move, masks))) for masks in classes)
 
 
 def validate_all_pairs(m, classes, field):

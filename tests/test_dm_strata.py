@@ -1,10 +1,9 @@
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
-from strataglue import dm_strata
+from strataglue import dm_strata, replace
 from strataglue.dm_strata import (
     aut_equivariance,
     contraction_functoriality,

@@ -3,12 +3,12 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from strataglue import replace
 from strataglue.dm_strata import edge_stratification
 from strataglue.fields import COMPLEX, REAL, from_real_parts, real_axes
 from strataglue.linear_strata import (LinearStratification, OrderError,
@@ -873,6 +873,28 @@ def test_all_singleton_atlas_certified(m, field):
     and 32 over R^5 and over C^5 (10 real axes)."""
     rep = build_atlas(linear_model(all_singleton(m, field)))
     assert rep.all_compatible and rep.separation_ok and rep.cover_ok
+
+
+def test_atlas_invariant_under_coordinate_relabelling():
+    """Every real m <= 3 stratification under every permutation of its
+    coordinates: the relabelled build gives the same three verdicts, and
+    the same radius on the image of each class (class a keeps its index)."""
+    pairs = changed = 0
+    for m in (1, 2, 3):
+        for s in enumerate_stratifications(m, REAL):
+            rep = build_atlas(linear_model(s))
+            for perm in itertools.permutations(range(1, m + 1)):
+                classes = oracles.relabeled_classes(s.classes, perm)
+                changed += classes != s.classes
+                moved = build_atlas(linear_model(
+                    LinearStratification(m, REAL, classes)))
+                assert (moved.all_compatible, moved.separation_ok,
+                        moved.cover_ok) == (rep.all_compatible,
+                                            rep.separation_ok, rep.cover_ok)
+                assert {a: d.epsilon for a, d in moved.data.items()} == \
+                    {a: d.epsilon for a, d in rep.data.items()}
+                pairs += 1
+    assert (pairs, changed) == (77, 50)
 
 
 # sha256 of pinned_outputs() as the rank-per-question region calculus

@@ -1,4 +1,5 @@
-"""Every name a module imports is referenced in that module."""
+"""Every name a module imports is referenced in that module, and no module
+of the package imports dataclasses."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,24 @@ def test_no_unused_imports():
              for path in MODULES}
     assert len(found) > 10
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def imported_modules(path):
+    """The modules that the module's import statements name."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+    return found
+
+
+def test_package_does_not_import_dataclasses():
+    # records subclass strataglue.Record: dataclasses would cost every
+    # command the start-up that tests/test_cli.py checks
+    paths = sorted(ROOT.glob("src/strataglue/*.py"))
+    assert len(paths) > 5
+    assert [path.name for path in paths
+            if "dataclasses" in imported_modules(path)] == []
