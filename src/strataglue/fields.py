@@ -26,6 +26,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):  # copy and pickle through the constructor
+        return GaussianRational, (self.re, self.im)
+
     def __add__(self, other):
         other = _coerce(other)
         return GaussianRational(self.re + other.re, self.im + other.im)

@@ -17,7 +17,9 @@ from its raw parts and builds a graph only for a key not seen before;
 graphs made from valid graphs (contractions, relabelings, class
 representatives) skip the public constructor's checks.  Each vertex's
 genus, valence, loops and tail labels are computed in one helper, which
-stability, valence, canonical keys and automorphisms all read.
+stability, valence, canonical keys and automorphisms all read; a key needs
+no search when no two invariants are equal.  The pass numbers each class
+when its key is first seen and sorts the ids by key once, at the end.
 """
 
 from __future__ import annotations
@@ -256,7 +258,8 @@ def _vertex_invariants(genera, edges, tails):
     for u, v in edges:
         valence[u] += 1
         valence[v] += 1
-        loops[u] += u == v
+        if u == v:
+            loops[u] += 1
     for k, v in enumerate(tails):
         valence[v] += 1
         labels[v] += (k + 1,)
@@ -268,25 +271,32 @@ def _canonical_key(genera, edges, tails):
 
     Minimizes the serialized form over all vertex orderings that sort
     vertices by an isomorphism-invariant key, so equal encodings are
-    equivalent to tail-respecting isomorphism.  Each edge is read as an
+    equivalent to tail-respecting isomorphism.  With distinct invariants
+    every group is a singleton, so the sorted order is the only such
+    ordering and the key is read off it.  Each edge is read as an
     unordered pair, so the parts need not be in normal form.
     """
     inv = _vertex_invariants(genera, edges, tails)
     nv = len(genera)
     order = sorted(range(nv), key=inv.__getitem__)
-    groups = [tuple(grp) for _, grp in
-              itertools.groupby(order, key=inv.__getitem__)]
+    ranked = tuple(map(inv.__getitem__, order))
+    if len(set(ranked)) == nv:  # every group a singleton
+        arrangements = (order,)
+    else:  # the sorted order with each run of equal invariants permuted
+        arrangements = map(itertools.chain.from_iterable, itertools.product(
+            *(itertools.permutations(grp) for _, grp in
+              itertools.groupby(order, key=inv.__getitem__))))
     best = None
-    for arrangement in itertools.product(
-            *map(itertools.permutations, groups)):
-        perm = {old: new for new, old in
-                enumerate(itertools.chain(*arrangement))}
-        cand = (tuple(sorted((perm[u], perm[v]) if perm[u] <= perm[v]
-                             else (perm[v], perm[u]) for u, v in edges)),
-                tuple(perm[v] for v in tails))
+    new = [0] * nv
+    for arrangement in arrangements:
+        for i, v in enumerate(arrangement):
+            new[v] = i
+        cand = (tuple(sorted((new[u], new[v]) if new[u] <= new[v]
+                             else (new[v], new[u]) for u, v in edges)),
+                tuple(map(new.__getitem__, tails)))
         if best is None or cand < best:
             best = cand
-    return (nv, tuple(inv[v] for v in order)) + best
+    return (nv, ranked) + best
 
 
 def _class_of(key):
@@ -421,25 +431,27 @@ def _degeneration_pass(g, n):
     if 2 * g - 2 + n <= 0:
         raise StabilityError("no stable graphs for 2g-2+n <= 0")
     root = StableGraph((g,), (), (0,) * n).canonical_form()
-    found = {root.key: root}
-    levels = [[root.key]]
-    cover_keys = set()
+    ids = {root.key: 0}  # key -> class id, in the order first found
+    found = [root]
+    levels = [[0]]
+    covers = set()
     while levels[-1]:
         fresh = []
         for parent in levels[-1]:
             for parts in _degenerations(found[parent].graph):
                 key = _canonical_key(*parts)
-                if key not in found:
-                    found[key] = _class_of(key)
-                    fresh.append(key)
-                cover_keys.add((key, parent))
+                child = ids.setdefault(key, len(found))
+                if child == len(found):
+                    found.append(_class_of(key))
+                    fresh.append(child)
+                covers.add((child, parent))
         levels.append(fresh)
     levels.pop()
-    elements = tuple(sorted(found.values(), key=lambda c: c.key))
-    index = {c.key: i for i, c in enumerate(elements)}
-    covers = {(index[a], index[b]) for a, b in cover_keys}
-    levels = [sorted(index[k] for k in level) for level in levels]
-    return elements, covers, levels
+    order = sorted(range(len(found)), key=lambda i: found[i].key)
+    rank = {i: r for r, i in enumerate(order)}
+    covers = {(rank[a], rank[b]) for a, b in covers}
+    levels = [sorted(map(rank.__getitem__, level)) for level in levels]
+    return tuple(map(found.__getitem__, order)), covers, levels
 
 
 def enumerate_stable_graphs(g, n):

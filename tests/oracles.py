@@ -2,7 +2,8 @@
 
 Everything here is written against the definitions directly, sharing no code
 paths with the package: a naive stable-graph generator with explicit
-permutation-search isomorphism testing, a GF(2) cycle-space rank for the
+permutation-search isomorphism testing, the canonical key by a search over
+every arrangement of equal vertices, a GF(2) cycle-space rank for the
 first Betti number, simultaneous edge contraction by a union-find with a
 separate numbering pass, the transitive closure of a relation, orbifold Euler
 characteristics of moduli spaces of curves (Harer-Zagier's open values
@@ -199,6 +200,42 @@ def gf2_cycle_rank(nv, edges):
             basis.sort(reverse=True)
             rank += 1
     return len(edges) - rank
+
+
+# ---------------------------------------------------------------------------
+# the canonical key of a stable graph, by the search over every arrangement
+
+def canonical_key_search(genera, edges, tails):
+    """The encoding stable_graphs keys a graph by, as first defined.
+
+    Vertices are sorted by (genus, valence, loop count, tail labels); every
+    arrangement that permutes each run of equal invariants is tried, and the
+    least (sorted relabelled edges, relabelled tails) is kept, prefixed by
+    the vertex count and the sorted invariants.  It searches even when every
+    run is a single vertex.
+    """
+    nv = len(genera)
+    inv = []
+    for v in range(nv):
+        valence = (sum((a == v) + (b == v) for a, b in edges)
+                   + list(tails).count(v))
+        loops = sum(a == b == v for a, b in edges)
+        labels = tuple(k + 1 for k, t in enumerate(tails) if t == v)
+        inv.append((genera[v], valence, loops, labels))
+    order = sorted(range(nv), key=inv.__getitem__)
+    groups = [tuple(grp) for _, grp in
+              itertools.groupby(order, key=inv.__getitem__)]
+    best = None
+    for arrangement in itertools.product(
+            *map(itertools.permutations, groups)):
+        perm = {old: new for new, old in
+                enumerate(itertools.chain(*arrangement))}
+        cand = (tuple(sorted(tuple(sorted((perm[u], perm[v])))
+                             for u, v in edges)),
+                tuple(perm[v] for v in tails))
+        if best is None or cand < best:
+            best = cand
+    return (nv, tuple(inv[v] for v in order)) + best
 
 
 # ---------------------------------------------------------------------------

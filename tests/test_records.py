@@ -3,13 +3,14 @@ reprs, equality, hashing, immutability, copies, and replace re-running
 checks."""
 
 import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from strataglue import Record, replace
 from strataglue.dm_strata import edge_stratification
-from strataglue.fields import COMPLEX
+from strataglue.fields import COMPLEX, GaussianRational
 from strataglue.gluing_engine import (EngineError, StratifiedModel,
                                       build_atlas, linear_model)
 from strataglue.linear_strata import (StratificationError, ValidationReport,
@@ -97,6 +98,20 @@ def test_copies_are_equal(record):
     for twin in (replace(record), copy.copy(record)):
         assert type(twin) is type(record) and twin == record
         assert repr(twin) == repr(record)
+
+
+def test_gaussian_rationals_copy_and_pickle():
+    # GaussianRational is not a Record, but records hold it
+    z = GaussianRational(1, 2)
+    for twin in (copy.copy(z), copy.deepcopy(z),
+                 pickle.loads(pickle.dumps(z))):
+        assert type(twin) is GaussianRational
+        assert twin == z and hash(twin) == hash(z)
+    # the fixture of acceptance criterion 6
+    fixture = PlumbingFixture(
+        GaussianRational(Fraction(1, 64), Fraction(1, 128)), Fraction(1, 2))
+    twin = copy.deepcopy(fixture)
+    assert twin == fixture and twin.t is not fixture.t
 
 
 @pytest.mark.parametrize("cls", [StableGraph, StratifiedModel, StrataPoset],

@@ -18,6 +18,7 @@ from strataglue.stable_graphs import (
     enumerate_stable_graphs,
 )
 from strataglue.stable_graphs import _canonical_key, _degenerations
+from strataglue.dm_strata import edge_stratification
 
 import oracles
 
@@ -213,6 +214,27 @@ class TestCanonicalForm:
                 == gc.key
             again = rep.canonical_form()
             assert again == gc and again.graph == rep
+
+    def test_key_matches_the_search_on_every_candidate(self):
+        # one degeneration pass over the benchmark signatures; a key's
+        # sorted invariants repeat exactly where the key is searched
+        total = repeated = 0
+        for g, n in GRAPH_SIGNATURES:
+            for gc in enumerate_stable_graphs(g, n):
+                for parts in _degenerations(gc.graph):
+                    key = _canonical_key(*parts)
+                    assert key == oracles.canonical_key_search(*parts)
+                    total += 1
+                    repeated += len(set(key[1])) < key[0]
+        assert (total, repeated) == (1650, 169)
+
+    @pytest.mark.parametrize("g,n", [(0, 4), (0, 5), (1, 1), (1, 2), (2, 2)])
+    def test_key_matches_the_search_on_contractions(self, g, n):
+        for gc in enumerate_stable_graphs(g, n):
+            for c in edge_stratification(gc).contractions:
+                assert _canonical_key(c.genera, c.edges, c.tails) \
+                    == oracles.canonical_key_search(c.genera, c.edges,
+                                                    c.tails)
 
     def test_frozen_digest(self):
         # classes and posets of the benchmark signatures, byte for byte
