@@ -217,8 +217,7 @@ def canonical_key_search(genera, edges, tails):
     nv = len(genera)
     inv = []
     for v in range(nv):
-        valence = (sum((a == v) + (b == v) for a, b in edges)
-                   + list(tails).count(v))
+        valence = sum((a == v) + (b == v) for a, b in edges) + tails.count(v)
         loops = sum(a == b == v for a, b in edges)
         labels = tuple(k + 1 for k, t in enumerate(tails) if t == v)
         inv.append((genera[v], valence, loops, labels))
