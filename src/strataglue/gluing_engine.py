@@ -565,7 +565,8 @@ class AtlasReport(Record):
         }
 
 
-# AtlasReport.stats: separation and cover questions asked, those decided on
+# AtlasReport.stats: separation and cover questions asked (a separation
+# question only on a piece where both strata have terms), those decided on
 # the pinned boxes, those that fell back to the exact cells, rows of the
 # class-order table, and (datum, stratum) word sets compatibility took
 STATS = ("questions", "decided_coarse", "exact_fallbacks", "order_rows",
@@ -580,7 +581,8 @@ def _exact_checks(model, data, above=None, stats=None):
     questions are covers of cells by open boxes.  Separation: for strata a,
     b that are incomparable, the cells of the meet of every term of a with
     every term of b on J must be covered by the terms of their common lower
-    strata.  Cover: the whole piece must be covered by all terms.  Returns
+    strata; a piece on which a or b has no term has no such cell, so it is
+    not asked.  Cover: the whole piece must be covered by all terms.  Returns
     ((separation_ok, witnesses), (cover_ok, witnesses)); a witness is a
     point of an uncovered cell, one per failing pair and piece and one per
     uncovered piece, in pair-then-piece order.  Every image end is an end
@@ -608,12 +610,14 @@ def _exact_checks(model, data, above=None, stats=None):
         [B for d in data.values() for _, B in d.region.terms]
         + list(fibres.values()), num_axes)
     tagged = {}  # (stratum, support J) -> the ranked image boxes on J
+    supports = {g: set() for g in data}  # stratum -> the J it has terms on
     for g, d in data.items():
         terms = [(I, rank(B)) for I, B in d.region.terms]
         fibre = rank(fibres[g])
         for c in above[g]:
             for J, box in _image_terms(model, terms, fibre, c):
                 tagged.setdefault((g, J), []).append(box)
+                supports[g].add(J)
 
     def on(J, strata):
         return [box for g in strata for box in tagged.get((g, J), ())]
@@ -642,7 +646,7 @@ def _exact_checks(model, data, above=None, stats=None):
         if b in above[a] or a in above[b]:
             continue
         lower = [g for g in data if a in above[g] and b in above[g]]
-        for J in range(1 << strat.m):
+        for J in sorted(supports[a] & supports[b]):
             separation.append(witness(
                 J, [meet(B1, B2) for B1 in on(J, (a,)) for B2 in on(J, (b,))],
                 on(J, lower)))

@@ -10,16 +10,23 @@ the one-vertex graph of genus g with n tails, each class is degenerated at
 one node in every possible way (a new loop, or a vertex split in two), level
 by level.  A class with k edges appears at level k, and each degeneration
 found is a cover of the contraction poset, since contracting the new edge
-gives back the class it came from.  One pass thus yields the classes, the
-covers and the layer decomposition; the poset stores only these, its order
-being the transitive closure of the covers.  The pass keys each candidate
-from its raw parts and builds a graph only for a key not seen before;
-graphs made from valid graphs (contractions, relabelings, class
-representatives) skip the public constructor's checks.  Each vertex's
-genus, valence, loops and tail labels are computed in one helper, which
-stability, valence, canonical keys and automorphisms all read; a key needs
-no search when no two invariants are equal.  The pass numbers each class
-when its key is first seen and sorts the ids by key once, at the end.
+gives back the class it came from.  A split of a vertex is chosen by counts
+over half-edges that the class's own automorphisms interchange: how many of
+its loops move whole, how many by one half, and how many edges of each
+bundle of parallel edges, with the tails as a subset.  Splits with the same
+counts differ by permuting loops or parallel edges or flipping loops, which
+fix every tail, so dropping all but one of them drops only isomorphic
+duplicates; of a split and its side-swapped twin, one is taken.  One pass
+thus yields the classes, the covers and the layer decomposition; the poset
+stores only these, its order being the transitive closure of the covers.
+The pass keys each candidate from its raw parts and builds a graph only for
+a key not seen before; graphs made from valid graphs (contractions,
+relabelings, class representatives) skip the public constructor's checks.
+Each vertex's genus, valence, loops and tail labels are computed in one
+helper, which stability, valence, canonical keys and automorphisms all
+read; a key needs no search when no two invariants are equal.  The pass
+numbers each class when its key is first seen and sorts the ids by key
+once, at the end.
 """
 
 from __future__ import annotations
@@ -376,46 +383,97 @@ def automorphism_group(graph):
 
 
 def _degenerations(graph):
-    """Every one-edge degeneration of graph, as raw (genera, edges, tails).
+    """Every one-edge degeneration of graph up to isomorphism, as raw
+    (genera, edges, tails), some of them more than once.
 
     At each vertex v: add a loop and lower the weight by one, or split v
     into v and a new vertex joined by a new edge, distributing the weight
     and every half-edge and tail at v over the two sides so that both stay
-    stable.  Contracting the new edge gives back graph.  Swapping the two
-    sides of a split gives an isomorphic graph, so each split is yielded
-    once: the first half-edge or tail at v stays at v, and when v has none
-    the new vertex takes at most half the weight.
+    stable.  Contracting the new edge gives back graph.  One scan buckets
+    the edges and tails by vertex: at v, its loops, its other edges grouped
+    by far end into bundles of parallel edges, and its tails.  A split is
+    chosen by counts: a loops move whole and b by one half, c of each
+    bundle's edges move, then a subset of the tails and the new vertex's
+    weight g1.  Permuting the loops at v, flipping a loop and permuting a
+    bundle are automorphisms of graph that fix every tail, so two splits
+    with the same counts, tails and weight are isomorphic: only the first
+    loops and bundle edges move.  Swapping the two sides of a split gives
+    an isomorphic graph, so each split is yielded once: if v has a tail its
+    first tail stays at v, and otherwise the counts (a, c_1, ...) may not
+    exceed those left at v (L - a - b, k_1 - c_1, ...), nor g1 the weight
+    left at v when the two are equal.  A count whose number of moved half-
+    edges and tails leaves no stable weight is dropped before any part is
+    built.
     """
     genera, edges, tails = graph.genera, graph.edges, graph.tails
     nv = len(genera)
+    ends = [[] for _ in genera]  # (far end, edge id) per half-edge
+    for e, (u, w) in enumerate(edges):
+        ends[u].append((w, e))
+        ends[w].append((u, e))
+    at = [[] for _ in genera]
+    for k, t in enumerate(tails):
+        at[t].append(k)
     for v, gv in enumerate(genera):
         if gv:
             yield (genera[:v] + (gv - 1,) + genera[v + 1:],
                    edges + ((v, v),), tails)
-        halves = [(e, h) for e, ends in enumerate(edges)
-                  for h in (0, 1) if ends[h] == v]
-        at_v = [k for k, t in enumerate(tails) if t == v]
-        m = len(halves) + len(at_v)
-        for moved in range(max(m, 1)):
-            weights = [g1 for g1 in range(gv + 1 if m else gv // 2 + 1)
-                       if 2 * (gv - g1) + m - moved >= 2
-                       and 2 * g1 + moved >= 2]
-            if not weights:
-                continue
-            for chosen in itertools.combinations(range(1, m), moved):
-                new_edges = list(edges)
-                new_tails = list(tails)
-                for i in chosen:
-                    if i >= len(halves):
-                        new_tails[at_v[i - len(halves)]] = nv
-                    else:
-                        e, h = halves[i]
-                        ends = new_edges[e]
-                        new_edges[e] = ends[:h] + (nv,) + ends[h + 1:]
-                parts = (tuple(new_edges) + ((v, nv),), tuple(new_tails))
-                for g1 in weights:
-                    yield (genera[:v] + (gv - g1,) + genera[v + 1:] + (g1,),
-                           *parts)
+        m = len(ends[v]) + len(at[v])
+        if 2 * gv + m < 4:  # no split leaves both sides stable
+            continue
+        loops, bundles = [], {}
+        for w, e in ends[v]:
+            if w == v:
+                loops.append(e)
+            else:
+                bundles.setdefault(w, []).append(e)
+        loops = loops[::2]  # a loop's two halves are listed together
+        nl, movable = len(loops), at[v][1:]
+        sizes = [len(es) for es in bundles.values()]
+        # split[g1]: the genera when the new vertex takes weight g1
+        split = [genera[:v] + (gv - g1,) + genera[v + 1:] + (g1,)
+                 for g1 in range(gv + 1)]
+        # fits[x]: the weights g1 of the new vertex that keep both sides
+        # stable when x half-edges and tails move: 2 g1 + x >= 2 and
+        # 2 (gv - g1) + m - x >= 2
+        fits = [range(max(0, (3 - x) // 2),
+                      gv + 1 - max(0, (3 - m + x) // 2)) for x in range(m + 1)]
+        for (a, b), *cs in itertools.product(
+                [(a, b) for a in range(nl + 1) for b in range(nl + 1 - a)],
+                *(range(k + 1) for k in sizes)):
+            h = 2 * a + b + sum(cs)
+            if at[v]:  # weights[t]: those when t more tails move
+                weights = fits[h:h + len(movable) + 1]
+                if not any(weights):
+                    continue
+            else:
+                mine = [a, *cs]
+                theirs = [nl - a - b, *(k - c for k, c in zip(sizes, cs))]
+                ws = fits[h]
+                if mine > theirs or not ws:
+                    continue
+                if mine == theirs:
+                    ws = range(ws.start, min(ws.stop, gv // 2 + 1))
+                weights = [ws]
+            new_edges = [*edges, (v, nv)]
+            for e in loops[:a]:
+                new_edges[e] = (nv, nv)
+            for e in loops[a:a + b]:
+                new_edges[e] = (v, nv)
+            for (w, es), c in zip(bundles.items(), cs):
+                for e in es[:c]:
+                    new_edges[e] = (w, nv)
+            new_edges = tuple(new_edges)
+            for t, ws in enumerate(weights):
+                if not ws:
+                    continue
+                for chosen in itertools.combinations(movable, t):
+                    new_tails = list(tails)
+                    for k in chosen:
+                        new_tails[k] = nv
+                    new_tails = tuple(new_tails)
+                    for g1 in ws:
+                        yield split[g1], new_edges, new_tails
 
 
 def _degeneration_pass(g, n):

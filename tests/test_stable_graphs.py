@@ -29,10 +29,14 @@ GRAPH_SIGNATURES = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3),
 GATE_SIGNATURES = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
                    (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1)]
 # every signature with 3g - 3 + n <= 5 but (0, 8), and (2, 3), (3, 0),
-# (3, 1), (4, 0): the Euler-characteristic checks
+# (3, 1), (4, 0), and (2, 4), (3, 2), (4, 1) over those three: the
+# Euler-characteristic checks
 EULER_SIGNATURES = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
                     (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
-                    (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (4, 0)]
+                    (2, 0), (2, 1), (2, 2), (2, 3), (2, 4),
+                    (3, 0), (3, 1), (3, 2), (4, 0), (4, 1)]
+# signatures at 3g - 3 + n = 6, dense in loops and parallel edges
+DEGENERATE_SIGNATURES = [(2, 3), (3, 1), (4, 0)]
 
 
 def G(genera, edges, tails):
@@ -226,7 +230,8 @@ class TestCanonicalForm:
                     assert key == oracles.canonical_key_search(*parts)
                     total += 1
                     repeated += len(set(key[1])) < key[0]
-        assert (total, repeated) == (1650, 169)
+        # one candidate per split up to permuting loops and parallel edges
+        assert (total, repeated) == (1391, 112)
 
     @pytest.mark.parametrize("g,n", [(0, 4), (0, 5), (1, 1), (1, 2), (2, 2)])
     def test_key_matches_the_search_on_contractions(self, g, n):
@@ -415,6 +420,14 @@ class TestEnumeration:
         root = G([g], [], [0] * n)
         assert len(list(_degenerations(root))) == count
 
+    @pytest.mark.parametrize("g,n,count", [(2, 3, 1947), (3, 1, 633),
+                                           (4, 0, 1618)])
+    def test_degeneration_candidates(self, g, n, count):
+        # one candidate per split up to permuting loops and parallel edges,
+        # at signatures where most classes have them
+        assert sum(len(list(_degenerations(gc.graph)))
+                   for gc in enumerate_stable_graphs(g, n)) == count
+
     def test_closed_under_contraction(self):
         keys = {gc.key for gc in enumerate_stable_graphs(1, 2)}
         for gc in enumerate_stable_graphs(1, 2):
@@ -465,6 +478,18 @@ class TestPoset:
                 for b in layer:
                     if a != b:
                         assert (a, b) not in order
+
+    @pytest.mark.parametrize("g,n", GRAPH_SIGNATURES + DEGENERATE_SIGNATURES)
+    def test_covers_are_the_one_edge_contractions(self, g, n):
+        """The covers against a source that never degenerates: the classes
+        of each class's one-edge contractions are exactly its parents in
+        the poset, so every cover arises so."""
+        p = build_poset(g, n)
+        index = {c.key: i for i, c in enumerate(p.elements)}
+        assert p.covers == {
+            (i, index[c.graph.contract({e}).canonical_form().key])
+            for i, c in enumerate(p.elements)
+            for e in range(c.graph.num_edges)}
 
     @pytest.mark.parametrize("g,n", [(1, 2), (0, 5), (2, 1), (3, 0)])
     def test_order_matches_multi_edge_contraction(self, g, n):
