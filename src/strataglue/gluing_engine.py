@@ -29,11 +29,16 @@ Separation and cover are decided exactly, with the same box calculus as
 that disjointness.  The image of a chart over a stratum is an exact region
 of support-tagged terms (image_region), so on each support piece both
 conditions are covers of cells by the open boxes tagged there, decided on
-the ranks of the box corners.  Each question is asked coarse first, on the
-boxes pinned to the closure of the piece (one cell per box), and split into
-the piece's cells only when those leave a gap; the cells lie inside their
-pinned box, so the answer is the exact one.  A failing check reports one
-point of an uncovered cell as its witness.
+the ranks of the box corners.  One build ranks the ends once, builds each
+datum's image boxes in one pass tagged with every support above it, and
+stores the boxes of each piece V^[J] on J's own axes, with the empty ones
+dropped: off J every such box is the fibre, which holds the 0 of the
+piece, so each question runs on the axes of its own piece.  Each question
+is asked coarse first, on the closure of the piece inside each inner box
+(one cell per box), and split into the piece's cells only when those
+leave a gap; the cells lie inside their pinned box, so the answer is the
+exact one.  A failing check reports one point of an uncovered cell as its
+witness, 0 off J.
 
 One build derives the class order once, as a table of strat.above rows
 shared by the radius loop, the exact checks and the compatibility of every
@@ -50,9 +55,9 @@ from . import Record, _set, replace
 from .fields import box_abs, from_real_parts, real_axes, zero
 from .linear_strata import (LinearStratification, OrderError, indices_of,
                             popcount)
-from .regions import (Region, _piece_cells, _pinned, _ranking, axes_of,
-                      collar, full_box, meet, region_contains, region_subset,
-                      split_nonzero, uncovered_point, whole_stratum)
+from .regions import (Region, _inside, _piece_cells, _ranking, axes_of,
+                      collar, covered, full_box, meet, region_contains,
+                      region_subset, split_nonzero, whole_stratum)
 
 
 class EngineError(ValueError):
@@ -349,8 +354,8 @@ def image_region(model, datum, b):
     """
     if not model.strat.leq(datum.stratum, b):
         raise OrderError("stratum %d is not above %d" % (b, datum.stratum))
-    return Region(b, _image_terms(model, datum.region.terms,
-                                  _fibre(model, datum), b))
+    return Region(b, _image_terms(model, datum.region.terms, _fibre(
+        model, datum), model.strat.classes[b]))
 
 
 def _fibre(model, datum):
@@ -359,16 +364,19 @@ def _fibre(model, datum):
                  for e in [datum.epsilon / s] * real_axes(model.field))
 
 
-def _image_terms(model, terms, fibre, b):
-    """The terms of image_region from region terms and a fibre box, all in
-    values or all in signed ranks (0 ranks 0)."""
+def _image_terms(model, terms, fibre, supports):
+    """The image terms (J, box) of region terms and a fibre box, tagged with
+    each support J of the given supports that contains the term's own
+    support: each box is built once, in term order, and a repeated (J, box)
+    kept at its first place.  Terms and fibre are all in values or all in
+    signed ranks (0 ranks 0)."""
     k = real_axes(model.field)
     out = []
     for I, B in terms:
         own = [I >> (ax // k) & 1 for ax in range(len(B))]
         if all(o or lo < 0 < hi for o, (lo, hi) in zip(own, B)):
             box = tuple(side if o else f for o, side, f in zip(own, B, fibre))
-            out += [(J, box) for J in model.strat.classes[b] if I & J == I]
+            out += [(J, box) for J in supports if I & J == I]
     return tuple(dict.fromkeys(out))
 
 
@@ -585,18 +593,28 @@ def _exact_checks(model, data, above=None, stats=None):
     not asked.  Cover: the whole piece must be covered by all terms.  Returns
     ((separation_ok, witnesses), (cover_ok, witnesses)); a witness is a
     point of an uncovered cell, one per failing pair and piece and one per
-    uncovered piece, in pair-then-piece order.  Every image end is an end
-    of a region term or a fibre: those are ranked once and the image terms
-    built in ranks, so every question runs on ints.
+    uncovered piece, in pair-then-piece order.
 
-    Each question is asked coarse first, on the pinned boxes (one cell per
-    box, the axes off J at 0 and those of J whole): the cells of the piece
-    lie inside them, so when the pinned boxes are covered so is the piece.
-    Only when they are not is each split by split_nonzero into the piece's
-    cells, up to 2^|J| of them (4^|J| over C), and the exact question asked
-    on those cells in their order; so every verdict and witness is the
-    exact one.  above is the class-order table (_order), and stats, a dict
-    on the keys of STATS, counts the questions.
+    The per-box work is done once per build.  Every image end is an end of
+    a region term or a fibre: those are ranked once, so every question runs
+    on ints.  Each datum's image terms are built in one pass (_image_terms),
+    each box tagged with every support J over every class above the datum.
+    A box tagged J is the fibre, which holds 0, on every axis off J, so a
+    cell of the J piece (0 off J) meets or lies in it exactly when its part
+    on J's axes does: each box is stored projected onto the k|J| axes of J,
+    and a box empty on one of them is dropped there, once.  Each question
+    then runs on the axes of its own piece.
+
+    Each question is asked coarse first, on the pinned cells: the projected
+    inner boxes (a meet of a term of a with one of b, or the whole piece for
+    cover), the closure of the piece inside each.  The cells of the piece
+    lie inside them, so when they are covered so is the piece.  Only when
+    they are not is each split by split_nonzero into the piece's cells, up
+    to 2^|J| of them (4^|J| over C), and the exact question asked on those
+    cells in their order; so every verdict and witness is the exact one.  A
+    witness is 0 (values[ax][0]) on every axis off J.  above is the
+    class-order table (_order), and stats, a dict on the keys of STATS,
+    counts the questions.
     """
     strat, field = model.strat, model.field
     if above is None:
@@ -609,36 +627,41 @@ def _exact_checks(model, data, above=None, stats=None):
     rank, values = _ranking(
         [B for d in data.values() for _, B in d.region.terms]
         + list(fibres.values()), num_axes)
-    tagged = {}  # (stratum, support J) -> the ranked image boxes on J
+    piece_axes = [[ax for i in indices_of(J) for ax in axes_of(field, i)]
+                  for J in range(1 << strat.m)]
+    tagged = {}  # (stratum, J) -> its ranked nonempty image boxes on J's axes
     supports = {g: set() for g in data}  # stratum -> the J it has terms on
     for g, d in data.items():
         terms = [(I, rank(B)) for I, B in d.region.terms]
-        fibre = rank(fibres[g])
-        for c in above[g]:
-            for J, box in _image_terms(model, terms, fibre, c):
-                tagged.setdefault((g, J), []).append(box)
-                supports[g].add(J)
+        tags = [J for c in above[g] for J in strat.classes[c]]
+        for J, box in _image_terms(model, terms, rank(fibres[g]), tags):
+            supports[g].add(J)
+            box = tuple([box[ax] for ax in piece_axes[J]])
+            boxes = tagged.setdefault((g, J), [])
+            if all(lo < hi for lo, hi in box):
+                boxes.append(box)
 
     def on(J, strata):
         return [box for g in strata for box in tagged.get((g, J), ())]
 
-    def witness(J, inner, boxes):
-        """A point of the J piece inside an inner box and outside every
+    def witness(J, pinned, boxes):
+        """A point of the J piece inside a pinned cell and outside every
         box, or None."""
         stats["questions"] += 1
-        pinned = [c for c in (_pinned(strat, field, J, B) for B in inner)
-                  if c is not None]
-        if uncovered_point(pinned, boxes, values) is None:
+        if all(covered(c, boxes) is None for c in pinned):
             stats["decided_coarse"] += 1
             return None
         stats["exact_fallbacks"] += 1
-        groups = [axes_of(field, i) for i in indices_of(J)]
-        point = uncovered_point(
-            [c for p in pinned for c in split_nonzero(p, groups)], boxes,
-            values)
-        if point is not None:
-            return tuple(from_real_parts(field, point[k * c:k * c + k])
-                         for c in range(strat.m))
+        groups = [range(k * t, k * t + k) for t in range(popcount(J))]
+        for c in pinned:
+            for cell in split_nonzero(c, groups):
+                gap = covered(cell, boxes)
+                if gap is not None:
+                    point = [v[0] for v in values]
+                    for ax, (lo, hi) in zip(piece_axes[J], gap):
+                        point[ax] = _inside(values[ax][lo], values[ax][hi])
+                    return tuple(from_real_parts(field, point[k * i:k * i + k])
+                                 for i in range(strat.m))
         return None
 
     separation = []
@@ -647,11 +670,14 @@ def _exact_checks(model, data, above=None, stats=None):
             continue
         lower = [g for g in data if a in above[g] and b in above[g]]
         for J in sorted(supports[a] & supports[b]):
+            meets = (meet(B1, B2)
+                     for B1 in tagged[a, J] for B2 in tagged[b, J])
             separation.append(witness(
-                J, [meet(B1, B2) for B1 in on(J, (a,)) for B2 in on(J, (b,))],
+                J, [c for c in meets if all(lo < hi for lo, hi in c)],
                 on(J, lower)))
     full = rank(full_box(num_axes))
-    cover = [witness(J, [full], on(J, data)) for J in range(1 << strat.m)]
+    cover = [witness(J, [tuple(full[ax] for ax in piece_axes[J])], on(J, data))
+             for J in range(1 << strat.m)]
     separation = tuple(w for w in separation if w is not None)
     cover = tuple(w for w in cover if w is not None)
     return (not separation, separation), (not cover, cover)

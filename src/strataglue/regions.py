@@ -95,16 +95,21 @@ def whole_stratum(strat, field, cls):
 # A cell is a product of intervals, each either open (lo < hi) or a single
 # point (lo == hi).  Boxes are open products.  covered() decides whether the
 # whole cell sits inside the union of the boxes: a cell that one box holds is
-# dropped, and a cell that boxes meet but none holds is split at the corners
-# of the first of them; termination holds because splits only happen at the
-# finitely many corner values.  It only ever compares two interval ends on
-# one axis, so _ranking() replaces each end by its signed rank: its index
-# among the axis's ends, 0 and +/-INF included, minus the index of 0.  Ranks
-# keep <, <= and ==, and 0 ranks 0, so meet, _piece_cells and split_nonzero
-# commute with ranking, and the splitting loop compares small ints instead
-# of Fractions and the float infinities.  One ranking serves every question
-# on the same ends, so one atlas build ranks once.  Only a sub-cell that no
-# box meets is mapped back to values, and gives a witness point.
+# dropped as soon as that box is found, and a cell that boxes meet but none
+# holds is split at the corners of the first of them; termination holds
+# because splits only happen at the finitely many corner values.  It only
+# ever compares two interval ends on one axis, so _ranking() replaces each
+# end by its signed rank: its index among the axis's ends, 0 and +/-INF
+# included, minus the index of 0.  Ranks keep <, <= and ==, and 0 ranks 0,
+# so meet, _piece_cells and split_nonzero commute with ranking, and the
+# splitting loop compares small ints instead of Fractions and the float
+# infinities.  The ranking keys each finite end by its exact (numerator,
+# denominator) pair, so it hashes ints, never a Fraction, and it sorts only
+# the finite ends, with -INF and INF put first and last; the infinities are
+# the only ends that are not rational, so no other float reaches it.  One
+# ranking serves every question on the same ends, so one atlas build ranks
+# once.  Only a sub-cell that no box meets is mapped back to values, and
+# gives a witness point.
 
 def _ranking(boxes, num_axes):
     """Signed ranks of the interval ends of the boxes: rank maps a box or
@@ -112,44 +117,63 @@ def _ranking(boxes, num_axes):
     of rank r on axis ax."""
     ranks, values = [], []
     for ax in range(num_axes):
-        ends = sorted({Fraction(0), -INF, INF}.union(
-            x for box in boxes for x in box[ax]))
-        values.append(dict(enumerate(ends, -ends.index(0))))
-        ranks.append({x: r for r, x in values[-1].items()})
+        finite = {(0, 1): Fraction(0)}
+        for box in boxes:
+            for x in box[ax]:
+                if x.__class__ is not float:
+                    finite.setdefault((x.numerator, x.denominator), x)
+        ends = sorted(finite.values())
+        low = -1 - sum(num < 0 for num, _ in finite)
+        values.append(dict(enumerate([-INF, *ends, INF], low)))
+        rank = {(x.numerator, x.denominator): r
+                for r, x in enumerate(ends, low + 1)}
+        rank[-INF], rank[INF] = low, low + len(ends) + 1
+        ranks.append(rank)
 
     def rank(box):
-        return tuple((r[lo], r[hi]) for r, (lo, hi) in zip(ranks, box))
+        return tuple((r[lo if lo.__class__ is float
+                        else (lo.numerator, lo.denominator)],
+                      r[hi if hi.__class__ is float
+                        else (hi.numerator, hi.denominator)])
+                     for r, (lo, hi) in zip(ranks, box))
 
     return rank, values
 
 
 def covered(cell, boxes):
     """A ranked sub-cell of the cell that meets none of the ranked boxes, or
-    None when the cell lies inside their union."""
+    None when the cell lies inside their union.
+
+    A popped sub-cell is dropped at the first box that holds it; only when
+    none does are the boxes scanned for the first one that meets it, and
+    the sub-cell is split at that box's corners (or returned when no box
+    meets it)."""
     stack = [cell]
     while stack:
         c = stack.pop()
-        meeting = [b for b in boxes if all(
-            blo < lo < bhi if lo == hi else blo < hi and lo < bhi
-            for (blo, bhi), (lo, hi) in zip(b, c))]
-        if not meeting:
-            return c
-        if any(all(lo == hi or blo <= lo and hi <= bhi
-                   for (blo, bhi), (lo, hi) in zip(b, c)) for b in meeting):
-            continue  # one box holds the whole cell
-        # split c at the first axis where the first meeting box does not
-        # contain it
-        b = meeting[0]
-        for ax, ((blo, bhi), (lo, hi)) in enumerate(zip(b, c)):
-            if lo == hi or (blo <= lo and hi <= bhi):
-                continue
-            cuts = [x for x in (blo, bhi) if lo < x < hi]
-            pts = [lo] + cuts + [hi]
-            for i in range(len(pts) - 1):
-                stack.append(c[:ax] + ((pts[i], pts[i + 1]),) + c[ax + 1:])
-            for x in cuts:
-                stack.append(c[:ax] + ((x, x),) + c[ax + 1:])
-            break
+        for b in boxes:
+            if all(blo < lo < bhi if lo == hi else blo <= lo and hi <= bhi
+                   for (blo, bhi), (lo, hi) in zip(b, c)):
+                break  # b holds the whole sub-cell
+        else:
+            for b in boxes:
+                if all(blo < lo < bhi if lo == hi else blo < hi and lo < bhi
+                       for (blo, bhi), (lo, hi) in zip(b, c)):
+                    break
+            else:
+                return c
+            # split c at the first axis where b, the first box meeting it,
+            # does not contain it
+            for ax, ((blo, bhi), (lo, hi)) in enumerate(zip(b, c)):
+                if lo == hi or (blo <= lo and hi <= bhi):
+                    continue
+                cuts = [x for x in (blo, bhi) if lo < x < hi]
+                pts = [lo] + cuts + [hi]
+                for i in range(len(pts) - 1):
+                    stack.append(c[:ax] + ((pts[i], pts[i + 1]),) + c[ax + 1:])
+                for x in cuts:
+                    stack.append(c[:ax] + ((x, x),) + c[ax + 1:])
+                break
     return None
 
 

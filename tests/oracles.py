@@ -14,7 +14,8 @@ of a stratification with the frontier condition tested on every ordered
 pair of classes, every stratification by filtering all products of per-size
 partitions, a coordinate relabelling of a stratification, a pointwise
 decision of covers by unions of open boxes (and of the separation and cover
-of chart images), and a quadrature for hyperbolic horocycle lengths.
+of chart images), the two-pass splitting cover test on ranked cells, and a
+quadrature for hyperbolic horocycle lengths.
 """
 
 import itertools
@@ -569,6 +570,40 @@ def covered_pointwise(cell, boxes):
         if in_cell and not any(_in_open_box(b, point) for b in boxes):
             return False
     return True
+
+
+def covered_two_pass(cell, boxes):
+    """A sub-cell of the cell that meets none of the open boxes, or None.
+
+    The splitting cover test in two passes per popped sub-cell: collect
+    every box that meets it, return it when there is none, drop it when
+    one of them holds it, and otherwise split it at the corners of the
+    first of them on the first axis where that box does not contain it.
+    Ends are compared only with each other, so ranks serve as well as
+    values."""
+    stack = [cell]
+    while stack:
+        c = stack.pop()
+        meeting = [b for b in boxes if all(
+            blo < lo < bhi if lo == hi else blo < hi and lo < bhi
+            for (blo, bhi), (lo, hi) in zip(b, c))]
+        if not meeting:
+            return c
+        if any(all(lo == hi or blo <= lo and hi <= bhi
+                   for (blo, bhi), (lo, hi) in zip(b, c)) for b in meeting):
+            continue
+        b = meeting[0]
+        for ax, ((blo, bhi), (lo, hi)) in enumerate(zip(b, c)):
+            if lo == hi or (blo <= lo and hi <= bhi):
+                continue
+            cuts = [x for x in (blo, bhi) if lo < x < hi]
+            pts = [lo] + cuts + [hi]
+            for i in range(len(pts) - 1):
+                stack.append(c[:ax] + ((pts[i], pts[i + 1]),) + c[ax + 1:])
+            for x in cuts:
+                stack.append(c[:ax] + ((x, x),) + c[ax + 1:])
+            break
+    return None
 
 
 def subset_pointwise(m, k, inner, outer):

@@ -172,6 +172,20 @@ class TestReport:
         assert len(cache) == 58
         assert all(field == COMPLEX for field, _ in cache)
 
+    def test_dimension_six_over_complex_charts(self):
+        """(3,0) and (2,3), 3g-3+n = 6, with one cache: every verdict of
+        every class holds on the complex charts."""
+        cache = {}
+        verdicts = ("dimension_matching", "functoriality", "equivariance",
+                    "atlas_compatible", "atlas_separated", "atlas_covers")
+        for (g, n), count in (((3, 0), 42), ((2, 3), 555)):
+            rep = dm_report(g, n, with_atlas=True, atlas_cache=cache)
+            assert len(rep["classes"]) == count
+            for entry in rep["classes"]:
+                assert all(entry[v] for v in verdicts), entry["graph"]
+        assert len(cache) == 148
+        assert all(field == COMPLEX for field, _ in cache)
+
     def test_frozen_digest(self):
         # the reports of seven signatures, byte for byte
         h = hashlib.sha256()

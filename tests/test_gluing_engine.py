@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,7 +42,7 @@ from strataglue.gluing_engine import (
     words_equal,
 )
 from strataglue.regions import (INF, Region, _piece_cells, _pinned,
-                               boundary_type, collar, full_box,
+                               boundary_type, collar, full_box, meet,
                                region_contains, region_subset,
                                uncovered_point, whole_stratum)
 from strataglue.stable_graphs import build_poset
@@ -664,6 +665,26 @@ class TestCoarseFirst:
 
 
 class TestStats:
+    # the models of the atlas benchmark, built as it builds them: chain(4),
+    # the 7-class m = 3 model in each of its three relabellings, and the
+    # complex m <= 2 models; their counts, in STATS order, show any change
+    # in which questions are asked or how they are decided
+    BENCHMARK_STATS = [
+        (chain_stratification(4), (16, 16, 0, 5, 14)),
+        *[(LinearStratification(3, REAL, classes), (16, 16, 0, 7, 22))
+          for classes in (((0,), (1,), (2,), (4,), (3, 5), (6,), (7,)),
+                          ((0,), (1,), (2,), (4,), (3, 6), (5,), (7,)),
+                          ((0,), (1,), (2,), (4,), (3,), (5, 6), (7,)))],
+        *zip([s for m in (1, 2)
+              for s in enumerate_stratifications(m, COMPLEX)],
+             [(2, 2, 0, 2, 2), (4, 4, 0, 3, 5), (5, 5, 0, 4, 8)], strict=True)]
+
+    @pytest.mark.parametrize("s,counts", BENCHMARK_STATS, ids=[
+        "chain4", "m3-7class-1", "m3-7class-2", "m3-7class-3", "complex-0",
+        "complex-1", "complex-2"])
+    def test_atlas_benchmark_models_pinned(self, s, counts):
+        assert build_atlas(linear_model(s)).stats == dict(zip(STATS, counts))
+
     def test_two_builds_count_alike(self):
         for model in (CHAIN3, SEP2C, SEP3, linear_model(seven_class_m3(2))):
             first, second = build_atlas(model).stats, build_atlas(model).stats
@@ -745,6 +766,121 @@ class TestExactChecks:
             halved = {a: replace(d, epsilon=d.epsilon / 2)
                       for a, d in data.items()}
             assert verdicts(halved) == verdicts(data)
+
+
+def checks_on_all_axes(model, data):
+    """_exact_checks's answer asked question by question on every real
+    axis: the image boxes from image_region, pinned to the piece by
+    _pinned, the cells by _piece_cells, and each cover decided by
+    uncovered_point (which drops the empty boxes itself), coarse first."""
+    s, field = model.strat, model.field
+
+    def on(J, strata):
+        c = s.class_of(J)
+        return [box for a in strata if s.leq(a, c)
+                for K, box in image_region(model, data[a], c).terms
+                if K == J]
+
+    def ask(J, inner, boxes):
+        pinned = [p for p in (_pinned(s, field, J, B) for B in inner)
+                  if p is not None]
+        if uncovered_point(pinned, boxes) is None:
+            return None
+        point = uncovered_point(
+            [c for B in inner for c in _piece_cells(s, field, J, B)], boxes)
+        return None if point is None else to_point(model, point)
+
+    separation = []
+    for (a, b), lower in incomparable_pairs(s, data).items():
+        for J in range(1 << s.m):
+            if on(J, [a]) and on(J, [b]):
+                separation.append(ask(
+                    J, [meet(x, y) for x in on(J, [a]) for y in on(J, [b])],
+                    on(J, [g for g in data if g in lower])))
+    full = full_box(s.m * real_axes(field))
+    cover = [ask(J, [full], on(J, data)) for J in range(1 << s.m)]
+    separation = tuple(w for w in separation if w is not None)
+    cover = tuple(w for w in cover if w is not None)
+    return (not separation, separation), (not cover, cover)
+
+
+ENDS = [-INF, Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3),
+        Fraction(1), INF]
+
+
+def random_data(model, rng):
+    """Data on a random set of strata, each with radius 1 or 1/2 and up to
+    three random terms, some of them after the whole stratum's terms (all
+    strata and all whole, two times in five): a box is open on the axes of
+    its support, and off them it mostly holds 0 (a term whose box misses 0
+    there has no image)."""
+    s = model.strat
+    k = real_axes(model.field)
+    whole = rng.random() < 0.4
+    data = {}
+    for a in range(s.num_classes):
+        if not whole and rng.random() < 0.15:
+            continue
+        terms = []
+        if whole or rng.random() < 0.5:
+            terms += whole_stratum(s, model.field, a).terms
+        for _ in range(rng.randrange(1, 4)):
+            I = rng.choice(s.classes[a])
+            box = []
+            for ax in range(s.m * k):
+                if I >> (ax // k) & 1 or rng.random() < 0.1:
+                    box.append(tuple(sorted(rng.sample(ENDS, 2))))
+                else:
+                    box.append(rng.choice([(-INF, INF), (Fraction(-1), INF),
+                                           (Fraction(-1, 2), Fraction(1))]))
+            terms.append((I, tuple(box)))
+        data[a] = replace(model.canonical_datum(a),
+                          epsilon=rng.choice([Fraction(1), Fraction(1, 2)]),
+                          region=Region(a, tuple(terms)))
+    return data
+
+
+def with_empty_term(model, data, rng):
+    """The data with one more term on a nonzero support, at a random
+    place: a box that is a single point on one axis of its support, so
+    empty, and holds 0 on every other axis."""
+    s = model.strat
+    k = real_axes(model.field)
+    a = rng.choice([a for a in data if s.classes[a][0]])
+    I = rng.choice(s.classes[a])
+    point = rng.choice([ax for ax in range(s.m * k) if I >> (ax // k) & 1])
+    x = rng.choice(ENDS[1:-1])
+    box = tuple((x, x) if ax == point else (-INF, INF)
+                for ax in range(s.m * k))
+    terms = list(data[a].region.terms)
+    terms.insert(rng.randrange(len(terms) + 1), (I, box))
+    return {**data, a: replace(data[a], region=Region(a, tuple(terms)))}
+
+
+@pytest.mark.parametrize("model", [CHAIN3, SEP2, SEP2C, SEP3],
+                         ids=["chain3", "sep2", "sep2-complex", "sep3"])
+def test_projected_checks_match_all_axes(model):
+    """Asked on the axes of each piece, with the empty boxes dropped once,
+    every question gives the verdict and witness it gives on all axes;
+    and a term that is empty on an axis of its support changes neither."""
+    rng = random.Random(2300 + model.strat.num_classes)
+    seen = collections.Counter()
+    for _ in range(30):
+        data = random_data(model, rng)
+        if not data:
+            continue
+        want = checks_on_all_axes(model, data)
+        assert _exact_checks(model, data) == want
+        assert verify_cover(model, data) == want[1]
+        if any(s.classes[a][0] for s in [model.strat] for a in data):
+            padded = with_empty_term(model, data, rng)
+            assert checks_on_all_axes(model, padded) == want
+            assert _exact_checks(model, padded) == want
+        seen[want[0][0], want[1][0]] += 1
+    # separation fails, and cover both holds and fails
+    assert seen[False, True] + seen[False, False] > 0 or model is CHAIN3
+    assert seen[True, True] + seen[False, True] > 0
+    assert seen[True, False] + seen[False, False] > 0
 
 
 @pytest.mark.parametrize("model", BUILT_MODELS)

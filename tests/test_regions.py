@@ -70,6 +70,66 @@ def test_covered_matches_pointwise_oracle():
     assert outcomes.count(True) > 40 and outcomes.count(False) > 40
 
 
+class Reads(list):
+    """A list of boxes that counts the boxes read by iterating over it."""
+
+    reads = 0
+
+    def __iter__(self):
+        for box in super().__iter__():
+            self.reads += 1
+            yield box
+
+
+def test_covered_matches_two_pass_reference():
+    """covered returns the two-pass test's sub-cell (or None) on random
+    ranked cells and boxes, and drops a cell that a box holds in one pass
+    over the boxes, ending at the first box that holds it."""
+    rng = random.Random(23)
+    outcomes = []
+    late = 0  # held cells whose first holder comes after another box
+    for _ in range(800):
+        num_axes = rng.randrange(1, 4)
+        cell = tuple(random_interval(rng, point_ok=True)
+                     for _ in range(num_axes))
+        boxes = [b for b in random_boxes(rng, num_axes) + random_boxes(
+            rng, num_axes) if all(lo < hi for lo, hi in b)]
+        rank, _ = _ranking([cell] + boxes, num_axes)
+        ranked = [rank(b) for b in boxes]
+        reads = Reads(ranked)
+        gap = covered(rank(cell), reads)
+        assert gap == oracles.covered_two_pass(rank(cell), ranked), (
+            cell, boxes)
+        holders = [i for i, b in enumerate(boxes)
+                   if oracles.covered_pointwise(cell, [b])]
+        if holders:
+            assert gap is None
+            assert reads.reads == holders[0] + 1, (cell, boxes)
+            late += holders[0] > 0
+        outcomes.append(gap is None)
+    assert outcomes.count(True) > 100 and outcomes.count(False) > 100
+    assert late > 20
+
+
+def test_ranking_keys_ends_by_exact_pairs():
+    """Equal ends are one end whatever their type (the first one seen is
+    kept, Fraction(0) always), the infinities rank first and last, and
+    ranks and values agree with the sorted ends."""
+    boxes = [((Fraction(1, 2), 1), (-INF, Fraction(-3))),
+             ((Fraction(2, 4), INF), (0, Fraction(6, 2))),
+             ((-INF, Fraction(-5, 7)), (Fraction(-3), INF))]
+    rank, values = _ranking(boxes, 2)
+    assert values == [{-2: -INF, -1: Fraction(-5, 7), 0: 0, 1: Fraction(1, 2),
+                       2: 1, 3: INF},
+                      {-2: -INF, -1: Fraction(-3), 0: 0, 1: Fraction(3),
+                       2: INF}]
+    assert [type(v[0]) for v in values] == [Fraction, Fraction]
+    assert type(values[0][2]) is int
+    assert [rank(b) for b in boxes] == [((1, 2), (-2, -1)), ((1, 3), (0, 1)),
+                                        ((-2, -1), (-1, 2))]
+    assert rank(((0, 0), (Fraction(0), Fraction(0)))) == ((0, 0), (0, 0))
+
+
 STRATS = ([s for m in (1, 2, 3) for s in enumerate_stratifications(m)]
           + list(enumerate_stratifications(1, COMPLEX)))
 
