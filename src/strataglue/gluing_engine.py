@@ -26,19 +26,19 @@ disjoint), the separation of images of incomparable strata, and that the
 chart images cover the whole space.
 
 Separation and cover are decided exactly, with the same box calculus as
-that disjointness.  The image of a chart over a stratum is an exact region
-of support-tagged terms (image_region), so on each support piece both
-conditions are covers of cells by the open boxes tagged there, decided on
-the ranks of the box corners.  One build ranks the ends once, builds each
-datum's image boxes in one pass tagged with every support above it, and
-stores the boxes of each piece V^[J] on J's own axes, with the empty ones
-dropped: off J every such box is the fibre, which holds the 0 of the
-piece, so each question runs on the axes of its own piece.  Each question
-is asked coarse first, on the closure of the piece inside each inner box
-(one cell per box), and split into the piece's cells only when those
-leave a gap; the cells lie inside their pinned box, so the answer is the
-exact one.  A failing check reports one point of an uncovered cell as its
-witness, 0 off J.
+that disjointness, on each support piece's own axes (the piece
+representation of strataglue.regions).  The image of a chart over a
+stratum is an exact region of support-tagged terms (image_region), so on
+each support piece both conditions are covers of the piece's cells by the
+open boxes tagged there, decided on the ranks of the box corners.  One
+build ranks the ends once, builds each datum's image boxes in one pass
+tagged with every support above it, and stores the boxes of each piece
+V^[J] on J's own axes, with the empty ones dropped.  Each question is asked
+coarse first, on the closure of the piece inside each inner box (one cell
+per box), and split into the piece's cells only when those leave a gap;
+the cells lie inside those closures, so the answer is the exact one.  A
+failing check reports one point of an uncovered cell as its witness, 0 off
+J.
 
 One build derives the class order once, as a table of strat.above rows
 shared by the radius loop, the exact checks and the compatibility of every
@@ -53,11 +53,10 @@ from fractions import Fraction
 
 from . import Record, _set, replace
 from .fields import box_abs, from_real_parts, real_axes, zero
-from .linear_strata import (LinearStratification, OrderError, indices_of,
-                            popcount)
-from .regions import (Region, _inside, _piece_cells, _ranking, axes_of,
+from .linear_strata import LinearStratification, OrderError, popcount
+from .regions import (Region, _inside, _on_piece, _piece_gap, _ranking,
                       collar, covered, full_box, meet, region_contains,
-                      region_subset, split_nonzero, whole_stratum)
+                      region_subset, whole_stratum)
 
 
 class EngineError(ValueError):
@@ -381,9 +380,10 @@ def _image_terms(model, terms, fibre, supports):
 
 
 def region_is_empty(model, region):
-    """Whether the region holds no point, decided exactly."""
-    return not any(_piece_cells(model.strat, model.field, J, box)
-                   for J, box in region.terms)
+    """Whether the region holds no point, decided exactly: no term's box
+    meets its support piece."""
+    k = real_axes(model.field)
+    return all(_on_piece(k, J, box) is None for J, box in region.terms)
 
 
 def restrict(model, datum, region, epsilon):
@@ -575,8 +575,9 @@ class AtlasReport(Record):
 
 # AtlasReport.stats: separation and cover questions asked (a separation
 # question only on a piece where both strata have terms), those decided on
-# the pinned boxes, those that fell back to the exact cells, rows of the
-# class-order table, and (datum, stratum) word sets compatibility took
+# the closures of the piece in the inner boxes, those that fell back to the
+# exact cells, rows of the class-order table, and (datum, stratum) word
+# sets compatibility took
 STATS = ("questions", "decided_coarse", "exact_fallbacks", "order_rows",
          "word_sets")
 
@@ -598,23 +599,21 @@ def _exact_checks(model, data, above=None, stats=None):
     The per-box work is done once per build.  Every image end is an end of
     a region term or a fibre: those are ranked once, so every question runs
     on ints.  Each datum's image terms are built in one pass (_image_terms),
-    each box tagged with every support J over every class above the datum.
-    A box tagged J is the fibre, which holds 0, on every axis off J, so a
-    cell of the J piece (0 off J) meets or lies in it exactly when its part
-    on J's axes does: each box is stored projected onto the k|J| axes of J,
-    and a box empty on one of them is dropped there, once.  Each question
-    then runs on the axes of its own piece.
+    each box tagged with every support J over every class above the datum,
+    and stored on the k|J| axes of J by _on_piece (the piece representation
+    of strataglue.regions): off J the box is the fibre, which holds 0, and a
+    box empty on an axis of J is dropped there, once.  Each question then
+    runs on the axes of its own piece.
 
-    Each question is asked coarse first, on the pinned cells: the projected
-    inner boxes (a meet of a term of a with one of b, or the whole piece for
-    cover), the closure of the piece inside each.  The cells of the piece
-    lie inside them, so when they are covered so is the piece.  Only when
-    they are not is each split by split_nonzero into the piece's cells, up
-    to 2^|J| of them (4^|J| over C), and the exact question asked on those
-    cells in their order; so every verdict and witness is the exact one.  A
-    witness is 0 (values[ax][0]) on every axis off J.  above is the
-    class-order table (_order), and stats, a dict on the keys of STATS,
-    counts the questions.
+    Each question is asked coarse first, on the closure of the piece inside
+    each projected inner box (a meet of a term of a with one of b, or the
+    whole piece for cover).  The cells of the piece lie inside them, so when
+    they are covered so is the piece.  Only when they are not is the exact
+    question asked by _piece_gap, on the piece's cells, up to 2^|J| of them
+    (4^|J| over C), in their order; so every verdict and witness is the
+    exact one.  A witness is 0 (values[ax][0]) on every axis off J.  above
+    is the class-order table (_order), and stats, a dict on the keys of
+    STATS, counts the questions.
     """
     strat, field = model.strat, model.field
     if above is None:
@@ -627,8 +626,6 @@ def _exact_checks(model, data, above=None, stats=None):
     rank, values = _ranking(
         [B for d in data.values() for _, B in d.region.terms]
         + list(fibres.values()), num_axes)
-    piece_axes = [[ax for i in indices_of(J) for ax in axes_of(field, i)]
-                  for J in range(1 << strat.m)]
     tagged = {}  # (stratum, J) -> its ranked nonempty image boxes on J's axes
     supports = {g: set() for g in data}  # stratum -> the J it has terms on
     for g, d in data.items():
@@ -636,33 +633,31 @@ def _exact_checks(model, data, above=None, stats=None):
         tags = [J for c in above[g] for J in strat.classes[c]]
         for J, box in _image_terms(model, terms, rank(fibres[g]), tags):
             supports[g].add(J)
-            box = tuple([box[ax] for ax in piece_axes[J]])
             boxes = tagged.setdefault((g, J), [])
-            if all(lo < hi for lo, hi in box):
+            box = _on_piece(k, J, box)
+            if box is not None:
                 boxes.append(box)
 
     def on(J, strata):
         return [box for g in strata for box in tagged.get((g, J), ())]
 
-    def witness(J, pinned, boxes):
-        """A point of the J piece inside a pinned cell and outside every
-        box, or None."""
+    def witness(J, closures, boxes):
+        """A point of the J piece inside one of the closures (cells on J's
+        axes) and outside every box, or None."""
         stats["questions"] += 1
-        if all(covered(c, boxes) is None for c in pinned):
+        if all(covered(c, boxes) is None for c in closures):
             stats["decided_coarse"] += 1
             return None
         stats["exact_fallbacks"] += 1
-        groups = [range(k * t, k * t + k) for t in range(popcount(J))]
-        for c in pinned:
-            for cell in split_nonzero(c, groups):
-                gap = covered(cell, boxes)
-                if gap is not None:
-                    point = [v[0] for v in values]
-                    for ax, (lo, hi) in zip(piece_axes[J], gap):
-                        point[ax] = _inside(values[ax][lo], values[ax][hi])
-                    return tuple(from_real_parts(field, point[k * i:k * i + k])
-                                 for i in range(strat.m))
-        return None
+        gap = _piece_gap(k, closures, boxes)
+        if gap is None:
+            return None
+        point = [v[0] for v in values]
+        axes = [ax for ax in range(num_axes) if J >> (ax // k) & 1]
+        for ax, (lo, hi) in zip(axes, gap):
+            point[ax] = _inside(values[ax][lo], values[ax][hi])
+        return tuple(from_real_parts(field, point[k * i:k * i + k])
+                     for i in range(strat.m))
 
     separation = []
     for a, b in itertools.combinations(sorted(data), 2):
@@ -676,7 +671,7 @@ def _exact_checks(model, data, above=None, stats=None):
                 J, [c for c in meets if all(lo < hi for lo, hi in c)],
                 on(J, lower)))
     full = rank(full_box(num_axes))
-    cover = [witness(J, [tuple(full[ax] for ax in piece_axes[J])], on(J, data))
+    cover = [witness(J, [_on_piece(k, J, full)], on(J, data))
              for J in range(1 << strat.m)]
     separation = tuple(w for w in separation if w is not None)
     cover = tuple(w for w in cover if w is not None)

@@ -196,10 +196,15 @@ def validate(m, classes, field=REAL):
                     % (list(indices_of(I)), seen[I], a))
             else:
                 seen[I] = a
-    missing = [I for I in range(1 << m) if I not in seen]
-    if missing:
+    # listing the missing subsets scans all 2^m of them: only when that is
+    # at most twice the subsets the classes list, else the count is given
+    missing = (1 << m) - len(seen)
+    if missing > len(seen):
+        violations.append("%d subsets missing from the partition" % missing)
+    elif missing:
         violations.append("subsets missing from the partition: %s"
-                          % [list(indices_of(I)) for I in missing])
+                          % [list(indices_of(I)) for I in range(1 << m)
+                             if I not in seen])
     if not violations:
         # frontier condition: if one support of a class fits inside some
         # support of another class, all of them must (a stratum closure

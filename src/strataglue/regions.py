@@ -8,6 +8,15 @@ rationals and two over the Gaussian rationals.  All topology here
 (containment, boundary-type, collars) is exact interval arithmetic, decided
 piece by piece on each support's own terms; the only non-rational values
 are the +/- infinity sentinels.
+
+Every question about the support piece V^[J] is asked on the k|J| real axes
+of J, its own axes.  The piece is 0 on every axis off J, so a box meets it
+only when it holds 0 on each of those axes, and then exactly in its part on
+the axes of J (_on_piece).  A cell there, split so that each coordinate of
+J is nonzero (split_nonzero), is a cell of the piece itself; subset, collar,
+emptiness, separation and cover are all covers of such cells by the boxes
+on the same axes (_piece_gap).  This works the same on values and on the
+signed ranks of _ranking, since 0 ranks 0.
 """
 
 from __future__ import annotations
@@ -101,7 +110,7 @@ def whole_stratum(strat, field, cls):
 # ever compares two interval ends on one axis, so _ranking() replaces each
 # end by its signed rank: its index among the axis's ends, 0 and +/-INF
 # included, minus the index of 0.  Ranks keep <, <= and ==, and 0 ranks 0,
-# so meet, _piece_cells and split_nonzero commute with ranking, and the
+# so meet, _on_piece and split_nonzero commute with ranking, and the
 # splitting loop compares small ints instead of Fractions and the float
 # infinities.  The ranking keys each finite end by its exact (numerator,
 # denominator) pair, so it hashes ints, never a Fraction, and it sorts only
@@ -141,13 +150,14 @@ def _ranking(boxes, num_axes):
 
 
 def covered(cell, boxes):
-    """A ranked sub-cell of the cell that meets none of the ranked boxes, or
-    None when the cell lies inside their union.
+    """A sub-cell of the cell that meets none of the open boxes, or None
+    when the cell lies inside their union.
 
-    A popped sub-cell is dropped at the first box that holds it; only when
-    none does are the boxes scanned for the first one that meets it, and
-    the sub-cell is split at that box's corners (or returned when no box
-    meets it)."""
+    Cell and boxes are both values or both signed ranks (_ranking): only
+    two ends on one axis are ever compared.  A popped sub-cell is dropped
+    at the first box that holds it; only when none does are the boxes
+    scanned for the first one that meets it, and the sub-cell is split at
+    that box's corners (or returned when no box meets it)."""
     stack = [cell]
     while stack:
         c = stack.pop()
@@ -186,24 +196,6 @@ def _inside(lo, hi):
     return lo + 1 if hi == INF else (lo + hi) / 2
 
 
-def uncovered_point(cells, boxes, values=None):
-    """A point of the cells outside the union of the open boxes, or None.
-
-    The point is given by its real coordinates, one per axis.  Cells and
-    boxes are values, or signed ranks with values[ax][rank] the end.
-    """
-    if values is None and cells:
-        rank, values = _ranking([*cells, *boxes], len(cells[0]))
-        cells, boxes = [rank(c) for c in cells], [rank(b) for b in boxes]
-    boxes = [b for b in boxes if all(lo < hi for lo, hi in b)]
-    for c in cells:
-        gap = covered(c, boxes)
-        if gap is not None:
-            return tuple(_inside(v[lo], v[hi])
-                         for v, (lo, hi) in zip(values, gap))
-    return None
-
-
 def split_nonzero(cell, axis_groups):
     """Refine an open cell by the constraint that each field coordinate is
     nonzero.
@@ -225,6 +217,37 @@ def split_nonzero(cell, axis_groups):
                     nxt.append(mid[:b] + (piece,) + mid[b + 1:])
         cells = nxt
     return cells
+
+
+def _on_piece(k, J, box):
+    """The box on the k|J| axes of the support J, or None when the piece
+    V^[J] misses it: the box is open, so a side with lo >= hi leaves it
+    empty, and a box missing 0 on an axis off J misses the piece.  Values
+    and signed ranks alike."""
+    out = []
+    for ax, (lo, hi) in enumerate(box):
+        if J >> (ax // k) & 1:
+            if lo >= hi:
+                return None
+            out.append((lo, hi))
+        elif not lo < 0 < hi:
+            return None
+    return tuple(out)
+
+
+def _piece_gap(k, cells, boxes):
+    """The first sub-cell of the cells, split into the piece's cells by
+    split_nonzero, that the boxes leave uncovered, or None.
+
+    Cells and boxes are on the piece's own axes (_on_piece), k per
+    coordinate, and the boxes are nonempty."""
+    for cell in cells:
+        groups = [range(a, a + k) for a in range(0, len(cell), k)]
+        for c in split_nonzero(cell, groups):
+            gap = covered(c, boxes)
+            if gap is not None:
+                return gap
+    return None
 
 
 def _punctured(iv):
@@ -251,49 +274,18 @@ def region_contains(strat, field, region, point):
                for box in region.on(mask))
 
 
-def _pinned(strat, field, mask, box):
-    """The box on the closure of the support piece V^[I] of the mask I, as
-    one cell, or None when the piece misses it.
-
-    The box is open, so a side with lo >= hi leaves it empty.  The axes off
-    I are pinned at 0, so a box missing 0 there gives no cell; the axes of I
-    are left whole, 0 included.
-    """
-    if any(lo >= hi for lo, hi in box):
-        return None
-    cell = list(box)
-    for coord in range(1, strat.m + 1):
-        if not mask & (1 << (coord - 1)):
-            for a in axes_of(field, coord):
-                lo, hi = cell[a]
-                if not lo < 0 < hi:
-                    return None
-                cell[a] = (0, 0)
-    return tuple(cell)
-
-
-def _piece_cells(strat, field, mask, box):
-    """Cells of a box on the support piece V^[I] of the mask I: its pinned
-    cell, with the coordinates in I kept nonzero by split_nonzero."""
-    cell = _pinned(strat, field, mask, box)
-    if cell is None:
-        return []
-    return split_nonzero(cell, [axes_of(field, i) for i in indices_of(mask)])
-
-
 def region_subset(strat, field, inner, outer):
-    """Whether the inner region sits inside the outer one, support by
-    support."""
+    """Whether the inner region sits inside the outer one, piece by
+    piece."""
     if inner.cls != outer.cls:
         raise RegionError("regions live over different strata")
-    full = full_box(strat.m * real_axes(field))
+    k = real_axes(field)
     for J in strat.classes[inner.cls]:
-        boxes = outer.on(J)
-        if full in boxes:
-            continue  # the whole piece holds every term on it
-        cells = [c for box in inner.on(J)
-                 for c in _piece_cells(strat, field, J, box)]
-        if uncovered_point(cells, boxes) is not None:
+        cells = [p for b in inner.on(J) if (p := _on_piece(k, J, b))
+                 is not None]
+        boxes = [p for b in outer.on(J) if (p := _on_piece(k, J, b))
+                 is not None]
+        if _piece_gap(k, cells, boxes) is not None:
             return False
     return True
 
@@ -329,24 +321,25 @@ def collar(strat, field, region):
     or None when the region is not boundary-type; radius is None when the
     stratum has no boundary (the class of the empty support).
     """
-    num_axes = strat.m * real_axes(field)
+    k = real_axes(field)
     terms = []
     radius = None
     for J in strat.classes[region.cls]:
         boxes = region.on(J)
-        cells = []
+        strips = []
         for i in indices_of(J):
             axes = axes_of(field, i)
             r = _strip_radius(boxes, axes)
             radius = r if radius is None else min(radius, r)
-            strip = list(full_box(num_axes))
+            strip = list(full_box(strat.m * k))
             for a in axes:
                 strip[a] = (-r, r)
-            cells += _piece_cells(strat, field, J, strip)
+            strips.append(_on_piece(k, J, strip))
             for box in boxes:
                 cut = meet(strip, box)
                 if all(lo < hi for lo, hi in cut):
                     terms.append((J, cut))
-        if uncovered_point(cells, boxes) is not None:
+        if _piece_gap(k, strips, [p for b in boxes if (
+                p := _on_piece(k, J, b)) is not None]) is not None:
             return None
     return Region(region.cls, tuple(dict.fromkeys(terms))), radius

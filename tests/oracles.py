@@ -14,8 +14,9 @@ of a stratification with the frontier condition tested on every ordered
 pair of classes, every stratification by filtering all products of per-size
 partitions, a coordinate relabelling of a stratification, a pointwise
 decision of covers by unions of open boxes (and of the separation and cover
-of chart images), the two-pass splitting cover test on ranked cells, and a
-quadrature for hyperbolic horocycle lengths.
+of chart images), the two-pass splitting cover test on ranked cells, a
+support piece's cells on every real axis with a witness-giving cover test,
+and a quadrature for hyperbolic horocycle lengths.
 """
 
 import itertools
@@ -603,6 +604,77 @@ def covered_two_pass(cell, boxes):
             for x in cuts:
                 stack.append(c[:ax] + ((x, x),) + c[ax + 1:])
             break
+    return None
+
+
+# A support piece V^[J] on every real axis: the package asks each question
+# on J's own axes instead, so this form is the reference it must match.  A
+# box is pinned to the closure of the piece (0 on each axis off J), the
+# pinned cell is split at 0 on each coordinate of J in the order the package
+# splits (so witnesses compare), and the cover test is covered_two_pass on
+# values, which returns the same sub-cell as on ranks.
+
+def pinned(k, J, box):
+    """The open box on the closure of the piece V^[J], as one cell on every
+    axis (k per coordinate), or None when the piece misses the box: a side
+    lo >= hi leaves it empty, and off J it must hold 0, where it is pinned
+    to the point 0."""
+    if any(lo >= hi for lo, hi in box):
+        return None
+    cell = list(box)
+    for ax in range(len(box)):
+        if not J >> (ax // k) & 1:
+            if not cell[ax][0] < 0 < cell[ax][1]:
+                return None
+            cell[ax] = (0, 0)
+    return tuple(cell)
+
+
+def _nonzero_parts(iv):
+    """The negative and positive parts of an open interval, if any."""
+    lo, hi = iv
+    return [p for p in ((lo, min(hi, 0)), (max(lo, 0), hi)) if p[0] < p[1]]
+
+
+def piece_cells(k, J, box):
+    """The cells of the piece V^[J] in the box, on every axis: its pinned
+    cell split so that each coordinate of J is nonzero.  A real coordinate
+    splits into its negative and positive parts; a complex one splits its
+    real part likewise and, where the real part holds 0, its imaginary part
+    over real part 0."""
+    cell = pinned(k, J, box)
+    cells = [] if cell is None else [cell]
+    for a in range(0, len(box), k):
+        if not J >> (a // k) & 1:
+            continue
+        split = []
+        for c in cells:
+            split += [c[:a] + (p,) + c[a + 1:] for p in _nonzero_parts(c[a])]
+            if k == 2 and c[a][0] < 0 < c[a][1]:
+                split += [c[:a] + ((0, 0), p) + c[a + 2:]
+                          for p in _nonzero_parts(c[a + 1])]
+        cells = split
+    return cells
+
+
+def _inside(lo, hi):
+    """One value of the point or open interval from lo to hi."""
+    if lo == hi:
+        return lo
+    if lo == -math.inf:
+        return Fraction(0) if hi == math.inf else hi - 1
+    return lo + 1 if hi == math.inf else (lo + hi) / 2
+
+
+def uncovered_point(cells, boxes):
+    """A point of the cells outside the union of the open boxes, one value
+    per axis, or None.  The empty boxes are dropped, and the point is one
+    of the first sub-cell that covered_two_pass leaves uncovered."""
+    boxes = [b for b in boxes if all(lo < hi for lo, hi in b)]
+    for cell in cells:
+        gap = covered_two_pass(cell, boxes)
+        if gap is not None:
+            return tuple(_inside(lo, hi) for lo, hi in gap)
     return None
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,12 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def bounded_memory():
+    # in a child: a scan of the power set fails at once with MemoryError
+    # instead of filling the host's memory before the timeout
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 
 
 class TestGraphs:
@@ -79,6 +86,25 @@ class TestStrataValidate:
         report = json.loads(out)
         assert not report["ok"]
         assert any("cardinalities" in v for v in report["violations"])
+
+    @pytest.mark.parametrize("command", [["strata", "validate"],
+                                         ["glue", "run"]])
+    def test_large_m_fails_at_once(self, tmp_path, command):
+        # 2^40 subsets, one listed: run in a child with a timeout, so that
+        # a scan of the power set fails the test instead of hanging it
+        path = tmp_path / "m40.json"
+        path.write_text(json.dumps({"m": 40, "field": "R",
+                                    "classes": [[[]]]}))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run(
+            [sys.executable, "-m", "strataglue.cli", *command, str(path)],
+            env=env, capture_output=True, text=True, timeout=30,
+            preexec_fn=bounded_memory)
+        assert child.returncode == 1
+        assert "%d subsets missing from the partition" % ((1 << 40) - 1) in (
+            child.stdout + child.stderr)
 
     def test_missing_file(self, tmp_path):
         code, _, err = run(["strata", "validate", str(tmp_path / "no.json")])

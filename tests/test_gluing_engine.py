@@ -41,10 +41,9 @@ from strataglue.gluing_engine import (
     verify_cover,
     words_equal,
 )
-from strataglue.regions import (INF, Region, _piece_cells, _pinned,
-                               boundary_type, collar, full_box, meet,
-                               region_contains, region_subset,
-                               uncovered_point, whole_stratum)
+from strataglue.regions import (INF, Region, boundary_type, collar,
+                               full_box, meet, region_contains,
+                               region_subset, whole_stratum)
 from strataglue.stable_graphs import build_poset
 
 import oracles
@@ -634,8 +633,8 @@ class TestCoarseFirst:
         data = piece_one_datum((-INF, Fraction(0)), (Fraction(0), INF))
         full = full_box(1)
         boxes = [box for _, box in data[1].region.terms]
-        assert uncovered_point([_pinned(M1.strat, REAL, 1, full)],
-                               boxes) == self.ORIGIN
+        assert oracles.uncovered_point([oracles.pinned(1, 1, full)],
+                                       boxes) == self.ORIGIN
         stats = dict.fromkeys(STATS, 0)
         _, (ok, witnesses) = _exact_checks(M1, data, stats=stats)
         # only the piece of the origin, which no datum holds, is uncovered
@@ -651,8 +650,8 @@ class TestCoarseFirst:
         data = piece_one_datum((Fraction(0), INF), (-INF, Fraction(-1)))
         full = full_box(1)
         boxes = [box for _, box in data[1].region.terms]
-        coarse = uncovered_point([_pinned(M1.strat, REAL, 1, full)], boxes)
-        exact = uncovered_point(_piece_cells(M1.strat, REAL, 1, full), boxes)
+        coarse = oracles.uncovered_point([oracles.pinned(1, 1, full)], boxes)
+        exact = oracles.uncovered_point(oracles.piece_cells(1, 1, full), boxes)
         assert coarse == self.ORIGIN and exact == (Fraction(-1),)
         _, (ok, witnesses) = _exact_checks(M1, data)
         assert not ok and witnesses == (self.ORIGIN, exact)
@@ -771,9 +770,11 @@ class TestExactChecks:
 def checks_on_all_axes(model, data):
     """_exact_checks's answer asked question by question on every real
     axis: the image boxes from image_region, pinned to the piece by
-    _pinned, the cells by _piece_cells, and each cover decided by
-    uncovered_point (which drops the empty boxes itself), coarse first."""
+    oracles.pinned, the cells by oracles.piece_cells, and each cover decided
+    by oracles.uncovered_point (which drops the empty boxes itself), coarse
+    first."""
     s, field = model.strat, model.field
+    k = real_axes(field)
 
     def on(J, strata):
         c = s.class_of(J)
@@ -782,12 +783,12 @@ def checks_on_all_axes(model, data):
                 if K == J]
 
     def ask(J, inner, boxes):
-        pinned = [p for p in (_pinned(s, field, J, B) for B in inner)
+        pinned = [p for p in (oracles.pinned(k, J, B) for B in inner)
                   if p is not None]
-        if uncovered_point(pinned, boxes) is None:
+        if oracles.uncovered_point(pinned, boxes) is None:
             return None
-        point = uncovered_point(
-            [c for B in inner for c in _piece_cells(s, field, J, B)], boxes)
+        point = oracles.uncovered_point(
+            [c for B in inner for c in oracles.piece_cells(k, J, B)], boxes)
         return None if point is None else to_point(model, point)
 
     separation = []
@@ -797,7 +798,7 @@ def checks_on_all_axes(model, data):
                 separation.append(ask(
                     J, [meet(x, y) for x in on(J, [a]) for y in on(J, [b])],
                     on(J, [g for g in data if g in lower])))
-    full = full_box(s.m * real_axes(field))
+    full = full_box(s.m * k)
     cover = [ask(J, [full], on(J, data)) for J in range(1 << s.m)]
     separation = tuple(w for w in separation if w is not None)
     cover = tuple(w for w in cover if w is not None)

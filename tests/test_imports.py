@@ -1,7 +1,9 @@
-"""Every name a module imports is referenced in that module, and no module
+"""Every name a module imports is referenced in that module, every private
+function of the package is referenced outside its definition, and no module
 of the package imports dataclasses."""
 
 import ast
+import collections
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,3 +55,25 @@ def test_package_does_not_import_dataclasses():
     assert len(paths) > 5
     assert [path.name for path in paths
             if "dataclasses" in imported_modules(path)] == []
+
+
+def referenced_names(node):
+    """The names that the Name and Attribute nodes under node read."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_function_is_referenced():
+    # a module-level _name function is a helper of the package: some line
+    # of src/ other than its own definition must refer to it
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted(ROOT.glob("src/strataglue/*.py"))]
+    everywhere = sum(map(referenced_names, trees), collections.Counter())
+    helpers = [node for tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_")]
+    assert len(helpers) > 20
+    assert [node.name for node in helpers
+            if everywhere[node.name] == referenced_names(node)[node.name]
+            ] == []

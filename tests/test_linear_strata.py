@@ -1,6 +1,11 @@
 import hashlib
 import itertools
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +25,12 @@ from strataglue.linear_strata import (
 )
 
 import oracles
+
+
+def bounded_memory():
+    # in a child: a scan of the power set fails at once with MemoryError
+    # instead of filling the host's memory before the timeout
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 
 
 def strat(m, classes, field=REAL):
@@ -55,6 +66,23 @@ class TestValidate:
         report = validate(2, ((0,), (mask_of((1, 2)),)))
         assert not report.ok
         assert any("missing" in v for v in report.violations)
+
+    def test_large_m_gives_the_missing_count_at_once(self):
+        """With far fewer subsets listed than the 2^64 there are, the report
+        counts the missing ones instead of listing them.  It runs in a child
+        with a timeout, so that a scan of the power set fails the test
+        instead of hanging the suite."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run(
+            [sys.executable, "-c", "from strataglue.linear_strata import "
+             "validate; print(validate(64, ((0,),)))"],
+            env=env, capture_output=True, text=True, timeout=30, check=True,
+            preexec_fn=bounded_memory)
+        assert child.stdout == (
+            "ValidationReport(ok=False, violations=('%d subsets missing "
+            "from the partition',))\n" % ((1 << 64) - 1))
 
     def test_duplicate_subset_invalid(self):
         report = validate(1, ((0,), (0, ), (1,)))

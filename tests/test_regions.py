@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from strataglue.fields import COMPLEX, REAL, real_axes
-from strataglue.gluing_engine import linear_model, region_is_empty
+from strataglue import replace
+from strataglue.fields import COMPLEX, REAL, real_axes, zero
+from strataglue.gluing_engine import (_exact_checks, build_atlas,
+                                      linear_model, region_is_empty)
 from strataglue.linear_strata import (LinearStratification,
                                       enumerate_stratifications)
-from strataglue.regions import (INF, Region, _piece_cells, _ranking,
-                                boundary_type, covered, meet,
-                                region_contains, region_subset,
-                                uncovered_point)
+from strataglue.regions import (INF, Region, _inside, _on_piece, _piece_gap,
+                                _ranking, boundary_type, covered, full_box,
+                                meet, region_contains, region_subset,
+                                split_nonzero, whole_stratum)
 
 import oracles
 
@@ -59,7 +61,11 @@ def test_covered_matches_pointwise_oracle():
             assert all(clo <= lo and hi <= chi
                        for (clo, chi), (lo, hi) in zip(cell, sub)), sub
             assert not oracles.covered_pointwise(sub, boxes), sub
-        point = uncovered_point([cell], boxes)
+        # the all-axes reference gives the point that the package's _inside
+        # reads off its gap
+        point = oracles.uncovered_point([cell], boxes)
+        assert point == (None if gap is None else tuple(
+            _inside(e[lo], e[hi]) for e, (lo, hi) in zip(ends, gap)))
         assert (point is None) == want, (cell, boxes)
         if point is not None:
             assert all(x == lo if lo == hi else lo < x < hi
@@ -131,7 +137,7 @@ def test_ranking_keys_ends_by_exact_pairs():
 
 
 STRATS = ([s for m in (1, 2, 3) for s in enumerate_stratifications(m)]
-          + list(enumerate_stratifications(1, COMPLEX)))
+          + [s for m in (1, 2) for s in enumerate_stratifications(m, COMPLEX)])
 
 
 @pytest.mark.parametrize("index", range(len(STRATS)))
@@ -176,21 +182,22 @@ def test_ranks_keep_order_on_each_axis():
     # it does not split a cell open across 2 on that axis, and the witness
     # is the value of the whole cell, not one on the point 2
     wide = ((-INF, INF), (-INF, Fraction(1, 2)))
-    assert uncovered_point([wide], tuple(boxes)) == (0, Fraction(-1, 2))
-    assert uncovered_point([wide], boxes[1:]) == (0, Fraction(-1, 2))
+    for outer in (tuple(boxes), boxes[1:]):
+        assert oracles.uncovered_point([wide], outer) == (0, Fraction(-1, 2))
+    # the package drops it when it takes the box onto a piece
+    assert _on_piece(1, 3, boxes[1]) is None
+    assert _on_piece(1, 3, boxes[0]) == boxes[0]
 
 
-RANK_STRATS = STRATS + list(enumerate_stratifications(2, COMPLEX))
-
-
-@pytest.mark.parametrize("index", range(len(RANK_STRATS)))
+@pytest.mark.parametrize("index", range(len(STRATS)))
 def test_build_ranks_commute_with_cell_operations(index):
     """Ranks taken once over every box of a build give the ranked cells of
-    the meets of its boxes on each support piece, and the same gap values
-    as ranks taken per question."""
-    strat = RANK_STRATS[index]
-    field = strat.field
-    num_axes = strat.m * real_axes(field)
+    the meets of its boxes on each support piece, on the piece's own axes,
+    and the gap they leave there is the one the all-axes reference finds
+    on values, as is the gap on the piece's axes on values."""
+    strat = STRATS[index]
+    k = real_axes(strat.field)
+    num_axes = strat.m * k
     rng = random.Random(300 + index)
     outcomes = []
     for _ in range(60):
@@ -199,16 +206,46 @@ def test_build_ranks_commute_with_cell_operations(index):
             continue
         rank, values = _ranking(boxes, num_axes)
         J = rng.randrange(1 << strat.m)
+        axes = [ax for ax in range(num_axes) if J >> (ax // k) & 1]
+        groups = [range(a, a + k) for a in range(0, len(axes), k)]
+
+        def unrank(cell):
+            return tuple((values[ax][lo], values[ax][hi])
+                         for ax, (lo, hi) in zip(axes, cell))
+
+        def point(gap, end):
+            # a point of the gap, whose ends are end(ax, side), on J's
+            # axes, and 0 off J; or None
+            if gap is None:
+                return None
+            out = [Fraction(0)] * num_axes
+            for ax, (lo, hi) in zip(axes, gap):
+                out[ax] = _inside(end(ax, lo), end(ax, hi))
+            return tuple(out)
+
         B1 = rng.choice(boxes)
         B2 = B1 if rng.random() < 0.5 else rng.choice(boxes)
-        cells = _piece_cells(strat, field, J, meet(B1, B2))
-        ranked = _piece_cells(strat, field, J, meet(rank(B1), rank(B2)))
-        assert ranked == [rank(c) for c in cells], (J, B1, B2)
+        cell = _on_piece(k, J, meet(B1, B2))
+        ranked = _on_piece(k, J, meet(rank(B1), rank(B2)))
+        assert (ranked is None) == (cell is None), (J, B1, B2)
+        if cell is not None:
+            assert unrank(ranked) == cell, (J, B1, B2)
+            assert [unrank(c) for c in split_nonzero(ranked, groups)] == (
+                split_nonzero(cell, groups)), (J, B1, B2)
         outer = rng.sample(boxes, rng.randrange(len(boxes) + 1))
-        point = uncovered_point(ranked, [rank(b) for b in outer], values)
-        assert point == uncovered_point(cells, outer), (J, B1, B2, outer)
-        if cells:
-            outcomes.append(point is None)
+        want = oracles.uncovered_point(
+            oracles.piece_cells(k, J, meet(B1, B2)), outer)
+        if cell is None:
+            assert want is None
+            continue
+        gap = _piece_gap(k, [ranked], [
+            p for b in outer if (p := _on_piece(k, J, rank(b))) is not None])
+        assert point(gap, lambda ax, r: values[ax][r]) == want, (
+            J, B1, B2, outer)
+        gap = _piece_gap(k, [cell], [
+            p for b in outer if (p := _on_piece(k, J, b)) is not None])
+        assert point(gap, lambda ax, x: x) == want, (J, B1, B2, outer)
+        outcomes.append(want is None)
     assert True in outcomes and False in outcomes
 
 
@@ -242,3 +279,29 @@ def test_term_admits_only_its_own_support():
                            (Fraction(1), Fraction(2)))),))
     assert not boundary_type(strat, REAL, one.union(away))
     assert boundary_type(strat, REAL, one.union(two))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_origin_piece(field):
+    """The class of the empty support is the origin, whose piece has no
+    axes: a term on it holds a point exactly when its box holds 0, and the
+    cover question there has no axis to split."""
+    strat = LinearStratification(1, field, ((0,), (1,)))
+    model = linear_model(strat)
+    k = real_axes(field)
+    near = Region(0, ((0, ((Fraction(-1), Fraction(1)),) * k),))
+    away = Region(0, ((0, ((Fraction(1), Fraction(2)),) + full_box(k - 1)),))
+    empty = Region(0, ())
+    for region in (near, whole_stratum(strat, field, 0)):
+        assert not region_is_empty(model, region)
+        assert not region_subset(strat, field, region, empty)
+        assert region_subset(strat, field, empty, region)
+    assert region_subset(strat, field, near, whole_stratum(strat, field, 0))
+    assert region_is_empty(model, away)
+    assert region_subset(strat, field, away, empty)
+    # the datum of the origin's stratum covers the origin over near, and
+    # leaves it, 0 on every axis, uncovered over away
+    data = build_atlas(model).data
+    for region, witnesses in ((near, ()), (away, ((zero(field),),))):
+        checked = {**data, 0: replace(data[0], region=region)}
+        assert _exact_checks(model, checked)[1] == (not witnesses, witnesses)
