@@ -48,7 +48,7 @@ def _cmd_strata_validate(args, out):
     from .linear_strata import mask_of, validate
     with open(args.file) as fh:
         data = json.load(fh)
-    m = int(data["m"])
+    m = data["m"]
     field = data.get("field", "R")
     classes = tuple(tuple(sorted(mask_of(I) for I in masks))
                     for masks in data["classes"])

@@ -8,25 +8,18 @@ local model of the gluing chart around the corresponding boundary stratum,
 whose gluing bundle is a sum of one line per edge.  The checks here are the
 combinatorial shadows of the chart identities: dimension matching,
 functoriality of iterated contraction, and equivariance under the graph's
-automorphisms.
-
-A report over one signature (dm_report) shares, for its own duration, the
-poset's classes and one dimension per class, each computed once by the
-validating StableGraph.dimension: every contraction target is the poset's
-class of that key, and dimension matching reads each dimension from that
-table.  Called alone, each function builds and measures what it needs.
+automorphisms.  Each check reads only its EdgeStratification, and
+dm_report is their composition, class by class over the poset.
 """
 
 from __future__ import annotations
-
-from contextvars import ContextVar
 
 from . import Record, _set
 from .fields import COMPLEX
 from .gluing_engine import build_atlas, linear_model
 from .linear_strata import LinearStratification, popcount
-from .stable_graphs import (_canonical_key, _class_of, automorphism_group,
-                            build_poset)
+from .stable_graphs import (_canonical_key, _class_of, _key_dimension,
+                            automorphism_group, build_poset)
 
 
 class EdgeStratification(Record):
@@ -47,11 +40,6 @@ class EdgeStratification(Record):
         return len(self.targets)
 
 
-# (classes, dimensions), each by class key, that a running dm_report
-# shares; None outside one
-_SHARED = ContextVar("dm_report_shared", default=None)
-
-
 def gluing_bundle_rank(gc):
     """Rank of the sum of one line per node: the edge count."""
     return gc.graph.num_edges
@@ -65,11 +53,9 @@ def edge_stratification(gc):
     dimension |E|, which is validated on construction.  It is over C: a
     node is smoothed by the plumbing z*w = t with t complex, so the chart
     at the class is C^E modulo its automorphisms, stratified by which
-    gluing parameters vanish.  Inside dm_report each target is the poset's
-    own class of its key; alone, the class the key serializes.
+    gluing parameters vanish.  Each target is the class its key
+    serializes, equal to the poset's class of that key.
     """
-    shared = _SHARED.get()
-    class_of = _class_of if shared is None else shared[0].__getitem__
     graph = gc.graph
     ne = graph.num_edges
     contractions = tuple(
@@ -80,7 +66,7 @@ def edge_stratification(gc):
         groups.setdefault(_canonical_key(c.genera, c.edges, c.tails),
                           []).append(mask)
     targets = sorted(
-        ((class_of(key), tuple(sorted(masks)))
+        ((_class_of(key), tuple(sorted(masks)))
          for key, masks in groups.items()),
         key=lambda pair: (popcount(pair[1][0]), pair[1]))
     classes = tuple(masks for _, masks in targets)
@@ -92,22 +78,17 @@ def verify_dimension_matching(es):
     """Contracting k edges must raise the dimension by exactly k.
 
     Each class holds subsets of one size k, read off its first member: the
-    stratification is validated on construction.  Inside dm_report each
-    dimension is read from the report's table, computed there once per
-    class.
+    stratification is validated on construction.  Each dimension is
+    read off the class's key.
     """
-    shared = _SHARED.get()
-    dims = shared[1] if shared is not None else {
-        c.key: c.graph.dimension()
-        for c in (es.graph_class, *(target for target, _ in es.targets))}
-    dim = dims[es.graph_class.key]
+    dim = _key_dimension(es.graph_class.key)
     violations = []
     for target, masks in es.targets:
         k = popcount(masks[0])
-        if dim + k != dims[target.key]:
-            violations.append(
-                "%s: %d + %d != %d" % (target.describe(), dim, k,
-                                       dims[target.key]))
+        target_dim = _key_dimension(target.key)
+        if dim + k != target_dim:
+            violations.append("%s: %d + %d != %d" % (target.describe(), dim,
+                                                     k, target_dim))
     return {"ok": not violations, "violations": violations}
 
 
@@ -165,51 +146,41 @@ def aut_equivariance(es):
 def dm_report(g, n, with_atlas=True, atlas_cache=None):
     """Per-class verification report for one signature.
 
-    One report shares what its classes have in common, for its own
-    duration only: every contraction target is the poset's own class,
-    looked up by its key, and each class's dimension is computed once (the
-    validating StableGraph.dimension) and read both by dimension matching
-    and by the entry.  The atlas feed runs the gluing engine on the induced
-    stratification of each class; since the outcome depends only on the
-    stratification, the runs are cached by its field and class data.
+    Each class of the poset gets its edge stratification and the three
+    checks on it.  The atlas feed runs the gluing engine on that
+    stratification; since the outcome depends only on the stratification,
+    the runs are cached by its field and class data.
     """
-    poset = build_poset(g, n)
     if atlas_cache is None:
         atlas_cache = {}
-    by_key = {gc.key: gc for gc in poset.elements}
-    dims = {key: gc.graph.dimension() for key, gc in by_key.items()}
-    token = _SHARED.set((by_key, dims))
     entries = []
-    try:
-        for gc in poset.elements:
-            es = edge_stratification(gc)
-            dim_rep = verify_dimension_matching(es)
-            fun_rep = contraction_functoriality(es)
-            aut_rep = aut_equivariance(es)
-            entry = {
-                "graph": gc.describe(),
-                "edges": gc.graph.num_edges,
-                "dimension": dims[gc.key],
-                "num_classes": es.num_classes,
-                "dimension_matching": dim_rep["ok"],
-                "functoriality": fun_rep["ok"],
-                "aut_order": aut_rep["aut_order"],
-                "equivariance": aut_rep["ok"],
-            }
-            if with_atlas:
-                key = (es.stratification.field, es.stratification.classes)
-                if key not in atlas_cache:
-                    report = build_atlas(linear_model(es.stratification))
-                    atlas_cache[key] = (report.all_compatible,
-                                        report.separation_ok,
-                                        report.cover_ok)
-                compatible, separated, covered = atlas_cache[key]
-                entry["atlas_compatible"] = compatible
-                entry["atlas_separated"] = separated
-                entry["atlas_covers"] = covered
-            entries.append(entry)
-    finally:
-        _SHARED.reset(token)
+    for gc in build_poset(g, n).elements:
+        es = edge_stratification(gc)
+        dim_rep = verify_dimension_matching(es)
+        fun_rep = contraction_functoriality(es)
+        aut_rep = aut_equivariance(es)
+        entry = {
+            "graph": gc.describe(),
+            "edges": gc.graph.num_edges,
+            "dimension": gc.graph.dimension(),
+            "num_classes": es.num_classes,
+            "dimension_matching": dim_rep["ok"],
+            "functoriality": fun_rep["ok"],
+            "aut_order": aut_rep["aut_order"],
+            "equivariance": aut_rep["ok"],
+        }
+        if with_atlas:
+            key = (es.stratification.field, es.stratification.classes)
+            if key not in atlas_cache:
+                report = build_atlas(linear_model(es.stratification))
+                atlas_cache[key] = (report.all_compatible,
+                                    report.separation_ok,
+                                    report.cover_ok)
+            compatible, separated, covered = atlas_cache[key]
+            entry["atlas_compatible"] = compatible
+            entry["atlas_separated"] = separated
+            entry["atlas_covers"] = covered
+        entries.append(entry)
     ok = all(e["dimension_matching"] and e["functoriality"]
              and e["equivariance"]
              and e.get("atlas_compatible", True)

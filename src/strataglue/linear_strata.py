@@ -28,6 +28,9 @@ class OrderError(StratificationError):
 def mask_of(indices):
     mask = 0
     for i in indices:
+        if type(i) is not int or i < 1:
+            raise StratificationError("index %r is not a positive integer"
+                                      % (i,))
         mask |= 1 << (i - 1)
     return mask
 
@@ -150,7 +153,7 @@ class LinearStratification(Record):
         classes = tuple(
             tuple(sorted(mask_of(I) for I in masks))
             for masks in data["classes"])
-        return cls(int(data["m"]), data["field"], classes)
+        return cls(data["m"], data["field"], classes)
 
 
 class ValidationReport(Record):
@@ -172,11 +175,15 @@ def validate(m, classes, field=REAL):
     partition into equal-cardinality classes.  Transitivity holds because
     I ⊆ J ⊆ K gives I ⊆ K for any sets.  Antisymmetry: a ≤ b ≤ a gives
     I ⊆ J ⊆ I′ with I, I′ in a, J in b and |I| = |I′|, so I = J lies in
-    both classes, which the partition forbids unless a = b.
+    both classes, which the partition forbids unless a = b.  A bad m (not
+    a nonnegative int, or a bool) stops the checks that read 2^m.
     """
     violations = []
     if field not in (REAL, COMPLEX):
         violations.append("unknown ground field %r" % (field,))
+    if type(m) is not int or m < 0:
+        violations.append("m must be a nonnegative integer, not %r" % (m,))
+        return ValidationReport(False, tuple(violations))
     seen = {}
     for a, masks in enumerate(classes):
         if not masks:

@@ -23,8 +23,9 @@ The pass keys each candidate from its raw parts and builds a graph only for
 a key not seen before; graphs made from valid graphs (contractions,
 relabelings, class representatives) skip the public constructor's checks.
 Each vertex's genus, valence, loops and tail labels are computed in one
-helper, which stability, valence, canonical keys and automorphisms all
-read; a key needs no search when no two invariants are equal.  The pass
+helper, which stability, valence, dimension, canonical keys and
+automorphisms all read.  A key holds them, so a class's dimension is read
+off it, and it needs no search when no two invariants are equal.  The pass
 numbers each class when its key is first seen and sorts the ids by key
 once, at the end.
 """
@@ -137,10 +138,12 @@ class StableGraph(Record):
                    _vertex_invariants(self.genera, self.edges, self.tails))
 
     def dimension(self):
-        """3g - 3 + n - |E|; also the sum over vertices of 3g_v - 3 + m_v."""
-        if not self.is_stable():
-            raise StabilityError("dimension requires a stable graph")
-        return 3 * self.genus() - 3 + self.num_tails - self.num_edges
+        """3g - 3 + n - |E|: on a connected graph, the sum over vertices of
+        3g_v - 3 + m_v.  Stability is checked before connectivity."""
+        dim = _dimension(_vertex_invariants(self.genera, self.edges,
+                                            self.tails))
+        self.genus()  # ConnectivityError on a disconnected graph
+        return dim
 
     def contract(self, edge_ids):
         """Contract the edge subset simultaneously.
@@ -273,6 +276,17 @@ def _vertex_invariants(genera, edges, tails):
     return list(zip(genera, valence, loops, labels))
 
 
+def _dimension(invariants):
+    """Sum of 3g_v - 3 + m_v over the vertices' invariants; StabilityError
+    if a vertex is unstable (2g_v - 2 + m_v <= 0)."""
+    dim = 0
+    for g, m, _, _ in invariants:
+        if 2 * g + m < 3:
+            raise StabilityError("dimension requires a stable graph")
+        dim += 3 * g - 3 + m
+    return dim
+
+
 def _canonical_key(genera, edges, tails):
     """Canonical encoding of the graph with these parts; tails fixed.
 
@@ -310,6 +324,11 @@ def _class_of(key):
     """The class a canonical key encodes, with the graph it serializes."""
     return GraphClass(key, StableGraph._of(tuple(i[0] for i in key[1]),
                                            key[2], key[3]))
+
+
+def _key_dimension(key):
+    """Dimension of the class a key encodes, read off its invariants."""
+    return _dimension(key[1])
 
 
 class Automorphism(Record):

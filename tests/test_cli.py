@@ -111,6 +111,18 @@ class TestStrataValidate:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("m", [-1, 2.5, True])
+    def test_m_not_a_nonnegative_int_rejected(self, tmp_path, m):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"m": m, "field": "R",
+                                    "classes": [[[]], [[1]], [[2]],
+                                                [[1, 2]]]}))
+        code, out, err = run(["strata", "validate", str(path)])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "ok": False,
+            "violations": ["m must be a nonnegative integer, not %r" % (m,)]}
+
 
 @pytest.mark.parametrize("command", [["strata", "validate"], ["glue", "run"]])
 @pytest.mark.parametrize("data", [[1, 2], {"m": 2, "classes": 5}])
@@ -122,6 +134,15 @@ def test_wrong_json_shape_is_an_error(tmp_path, command, data):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["strata", "validate"], ["glue", "run"]])
+def test_index_zero_is_named(tmp_path, command):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"m": 1, "field": "R",
+                                "classes": [[[]], [[0]]]}))
+    assert run(command + [str(path)]) == (
+        1, "", "error: index 0 is not a positive integer\n")
 
 
 class TestGlueRun:
@@ -151,6 +172,14 @@ class TestGlueRun:
         assert code == 1
         assert out == ""
         assert "unknown ground field 'X'" in err
+
+    @pytest.mark.parametrize("m", [1.5, True, -1])
+    def test_m_not_a_nonnegative_int_rejected(self, tmp_path, m):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"m": m, "field": "R",
+                                    "classes": [[[]], [[1]]]}))
+        assert run(["glue", "run", str(path)]) == (
+            1, "", "error: m must be a nonnegative integer, not %r\n" % (m,))
 
     def test_report_file(self, tmp_path):
         path = self.chain_model_path(tmp_path)

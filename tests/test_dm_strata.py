@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from strataglue import dm_strata, replace
+from strataglue import replace
 from strataglue.dm_strata import (
     aut_equivariance,
     contraction_functoriality,
@@ -86,6 +86,18 @@ class TestDimensionMatching:
         for g, n in [(0, 4), (0, 5), (1, 1), (1, 2), (2, 0)]:
             for gc in enumerate_stable_graphs(g, n):
                 assert verify_dimension_matching(edge_stratification(gc))["ok"]
+
+    def test_wrong_target_dimension_fails(self):
+        # LOOP11 (dimension 0) contracts its loop to the genus-1 vertex
+        # (dimension 1); naming LOOP11 itself as that target breaks 0 + 1
+        es = edge_stratification(LOOP11)
+        (same, none), (_, one) = es.targets
+        assert same == LOOP11 and popcount(one[0]) == 1
+        rep = verify_dimension_matching(
+            replace(es, targets=((same, none), (LOOP11, one))))
+        assert not rep["ok"]
+        assert rep["violations"] == ["%s: %d + %d != %d"
+                                     % (LOOP11.describe(), 0, 1, 0)]
 
 
 class TestFunctoriality:
@@ -219,11 +231,27 @@ def public_report(g, n):
     return {"signature": [g, n], "ok": ok, "classes": entries}
 
 
+# every signature with 3g - 3 + n <= 5 but (0, 8), whose 39,208 classes
+# take some 25 s of edge stratifications
+SMALL_SIGNATURES = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+                    (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
+                    (2, 0), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("g,n", SMALL_SIGNATURES)
+def test_every_target_is_a_poset_class(g, n):
+    classes = set(build_poset(g, n).elements)
+    for gc in classes:
+        for target, _ in edge_stratification(gc).targets:
+            assert target in classes, (gc.describe(), target.describe())
+
+
 class TestSharedPerReport:
     @pytest.mark.parametrize("g,n", [(1, 3), (0, 5)])
     def test_one_dimension_per_class(self, g, n, monkeypatch):
-        """dm_report computes each class's dimension once, and its report
-        is the one the public per-class path gives."""
+        """dm_report calls the validating dimension once per class, for the
+        entry, and its report is the one the public per-class path
+        gives."""
         calls = []
         dimension = StableGraph.dimension
 
@@ -236,16 +264,3 @@ class TestSharedPerReport:
         assert len(calls) == len(report["classes"])
         monkeypatch.undo()
         assert report == public_report(g, n)
-
-    def test_shared_table_ends_with_the_report(self, monkeypatch):
-        """The table a report shares is gone when it returns or raises."""
-        dm_report(0, 5, with_atlas=False)
-        assert dm_strata._SHARED.get() is None
-
-        def fail(es):
-            raise RuntimeError("check failed")
-
-        monkeypatch.setattr(dm_strata, "aut_equivariance", fail)
-        with pytest.raises(RuntimeError):
-            dm_report(0, 5, with_atlas=False)
-        assert dm_strata._SHARED.get() is None

@@ -62,6 +62,30 @@ class TestValidate:
         assert not report.ok
         assert any("cardinalities" in v for v in report.violations)
 
+    @pytest.mark.parametrize("m", [-1, 2.5, True, "2", None])
+    def test_m_not_a_nonnegative_int_is_a_violation(self, m):
+        report = validate(m, ((0,),))
+        assert report.violations == (
+            "m must be a nonnegative integer, not %r" % (m,),)
+
+    def test_bad_m_is_reported_with_the_field(self):
+        assert validate(-1, ((0,),), "X").violations == (
+            "unknown ground field 'X'",
+            "m must be a nonnegative integer, not -1")
+
+    @pytest.mark.parametrize("index", [0, -2, 1.5, True])
+    def test_mask_of_names_a_bad_index(self, index):
+        with pytest.raises(StratificationError,
+                           match="index %r is not a positive integer"
+                           % (index,)):
+            mask_of((1, index))
+
+    @pytest.mark.parametrize("m", [1.5, -1, True])
+    def test_from_json_keeps_m(self, m):
+        with pytest.raises(StratificationError, match="m must be"):
+            LinearStratification.from_json(
+                {"m": m, "field": "R", "classes": [[[]], [[1]]]})
+
     def test_missing_subset_invalid(self):
         report = validate(2, ((0,), (mask_of((1, 2)),)))
         assert not report.ok

@@ -17,7 +17,8 @@ from strataglue.stable_graphs import (
     build_poset,
     enumerate_stable_graphs,
 )
-from strataglue.stable_graphs import _canonical_key, _degenerations
+from strataglue.stable_graphs import (_canonical_key, _degenerations,
+                                      _key_dimension)
 from strataglue.dm_strata import edge_stratification
 
 import oracles
@@ -548,3 +549,17 @@ class TestDimension:
     def test_unstable_rejected(self):
         with pytest.raises(StabilityError):
             G([1], [], []).dimension()
+
+    @pytest.mark.parametrize("g,n", [(g, n) for g, n in EULER_SIGNATURES
+                                     if 3 * g - 3 + n <= 5])
+    def test_key_dimension_is_the_graph_dimension(self, g, n):
+        for gc in build_poset(g, n).elements:
+            assert _key_dimension(gc.key) == gc.graph.dimension()
+
+    def test_stability_is_checked_before_connectivity(self):
+        with pytest.raises(StabilityError,
+                           match="dimension requires a stable graph"):
+            G([0, 0], [], []).dimension()
+        with pytest.raises(ConnectivityError,
+                           match="genus undefined for disconnected graph"):
+            G([2, 2], [], []).dimension()
