@@ -45,13 +45,9 @@ def _cmd_graphs(args, out):
 
 
 def _cmd_strata_validate(args, out):
-    from .linear_strata import mask_of, validate
+    from .linear_strata import _read_json, validate
     with open(args.file) as fh:
-        data = json.load(fh)
-    m = data["m"]
-    field = data.get("field", "R")
-    classes = tuple(tuple(sorted(mask_of(I) for I in masks))
-                    for masks in data["classes"])
+        m, field, classes = _read_json(json.load(fh))
     report = validate(m, classes, field)
     _dump(report.to_json(), out)
     return 0 if report.ok else 1

@@ -14,7 +14,7 @@ dm_report is their composition, class by class over the poset.
 
 from __future__ import annotations
 
-from . import Record, _set
+from . import Record
 from .fields import COMPLEX
 from .gluing_engine import build_atlas, linear_model
 from .linear_strata import LinearStratification, popcount
@@ -28,12 +28,6 @@ class EdgeStratification(Record):
     # targets: (target GraphClass, tuple of edge masks) per class;
     # contractions: the labelled contracted graph per edge mask
     __slots__ = ("graph_class", "targets", "stratification", "contractions")
-
-    def __init__(self, graph_class, targets, stratification, contractions):
-        _set(self, "graph_class", graph_class)
-        _set(self, "targets", targets)
-        _set(self, "stratification", stratification)
-        _set(self, "contractions", contractions)
 
     @property
     def num_classes(self):
@@ -143,16 +137,16 @@ def aut_equivariance(es):
             "aut_order": grp.order}
 
 
-def dm_report(g, n, with_atlas=True, atlas_cache=None):
+def dm_report(g, n, with_atlas=True):
     """Per-class verification report for one signature.
 
     Each class of the poset gets its edge stratification and the three
-    checks on it.  The atlas feed runs the gluing engine on that
+    checks on it.  With the atlas, the gluing engine runs on that
     stratification; since the outcome depends only on the stratification,
-    the runs are cached by its field and class data.
+    one report runs it once per field and class data.  Without it, the
+    report holds the graph checks alone.
     """
-    if atlas_cache is None:
-        atlas_cache = {}
+    atlas_cache = {}
     entries = []
     for gc in build_poset(g, n).elements:
         es = edge_stratification(gc)

@@ -31,6 +31,9 @@ def mask_of(indices):
         if type(i) is not int or i < 1:
             raise StratificationError("index %r is not a positive integer"
                                       % (i,))
+        if mask >> (i - 1) & 1:
+            raise StratificationError("index %d is repeated in a support"
+                                      % i)
         mask |= 1 << (i - 1)
     return mask
 
@@ -150,18 +153,19 @@ class LinearStratification(Record):
 
     @classmethod
     def from_json(cls, data):
-        classes = tuple(
-            tuple(sorted(mask_of(I) for I in masks))
-            for masks in data["classes"])
-        return cls(data["m"], data["field"], classes)
+        return cls(*_read_json(data))
+
+
+def _read_json(data):
+    """The m, field and classes of a stratification's JSON form; the field
+    is R unless given."""
+    classes = tuple(tuple(sorted(mask_of(I) for I in masks))
+                    for masks in data["classes"])
+    return data["m"], data.get("field", REAL), classes
 
 
 class ValidationReport(Record):
     __slots__ = ("ok", "violations")
-
-    def __init__(self, ok, violations):
-        _set(self, "ok", ok)
-        _set(self, "violations", violations)
 
     def to_json(self):
         return {"ok": self.ok, "violations": list(self.violations)}
@@ -184,6 +188,7 @@ def validate(m, classes, field=REAL):
     if type(m) is not int or m < 0:
         violations.append("m must be a nonnegative integer, not %r" % (m,))
         return ValidationReport(False, tuple(violations))
+    full = 1 << m
     seen = {}
     for a, masks in enumerate(classes):
         if not masks:
@@ -194,7 +199,7 @@ def validate(m, classes, field=REAL):
             violations.append("class %d mixes cardinalities %s"
                               % (a, sorted(sizes)))
         for I in masks:
-            if not 0 <= I < (1 << m):
+            if not 0 <= I < full:
                 violations.append("class %d contains an out-of-range subset"
                                   % a)
             elif I in seen:
@@ -204,13 +209,18 @@ def validate(m, classes, field=REAL):
             else:
                 seen[I] = a
     # listing the missing subsets scans all 2^m of them: only when that is
-    # at most twice the subsets the classes list, else the count is given
-    missing = (1 << m) - len(seen)
+    # at most twice the subsets the classes list, else the count is given,
+    # as 2^m - k when Python will not write it in decimal
+    missing = full - len(seen)
     if missing > len(seen):
-        violations.append("%d subsets missing from the partition" % missing)
+        try:
+            count = "%d" % missing
+        except ValueError:
+            count = "2^%d - %d" % (m, len(seen))
+        violations.append("%s subsets missing from the partition" % count)
     elif missing:
         violations.append("subsets missing from the partition: %s"
-                          % [list(indices_of(I)) for I in range(1 << m)
+                          % [list(indices_of(I)) for I in range(full)
                              if I not in seen])
     if not violations:
         # frontier condition: if one support of a class fits inside some

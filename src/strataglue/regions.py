@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import Record, _set
+from . import Record
 from .fields import real_axes, real_parts
 from .linear_strata import indices_of
 
@@ -57,10 +57,6 @@ class Region(Record):
 
     # terms: each (J, box), a support bitmask and (lo, hi) intervals
     __slots__ = ("cls", "terms")
-
-    def __init__(self, cls, terms):
-        _set(self, "cls", cls)
-        _set(self, "terms", terms)
 
     def intersect(self, other):
         if self.cls != other.cls:

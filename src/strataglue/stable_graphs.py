@@ -249,10 +249,6 @@ class GraphClass(Record):
 
     __slots__ = ("key", "graph")
 
-    def __init__(self, key, graph):
-        _set(self, "key", key)
-        _set(self, "graph", graph)
-
     def _compared(self):  # equality and the hash read the key alone
         return (self.key,)
 
@@ -337,10 +333,6 @@ class Automorphism(Record):
     # half_edge_map: (e, h) image indexed by 2*e + h
     __slots__ = ("vertex_perm", "half_edge_map")
 
-    def __init__(self, vertex_perm, half_edge_map):
-        _set(self, "vertex_perm", vertex_perm)
-        _set(self, "half_edge_map", half_edge_map)
-
     def edge_perm(self):
         return tuple(self.half_edge_map[2 * e][0]
                      for e in range(len(self.half_edge_map) // 2))
@@ -348,9 +340,6 @@ class Automorphism(Record):
 
 class AutomorphismGroup(Record):
     __slots__ = ("elements",)
-
-    def __init__(self, elements):
-        _set(self, "elements", elements)
 
     @property
     def order(self):

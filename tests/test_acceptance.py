@@ -182,9 +182,8 @@ def test_criterion_6_plumbing():
 
 
 def test_criterion_7_dm_layer():
-    cache = {}
     for g, n in SIGNATURES:
-        rep = dm_report(g, n, with_atlas=True, atlas_cache=cache)
+        rep = dm_report(g, n, with_atlas=True)
         assert rep["ok"], (g, n)
         for entry in rep["classes"]:
             assert entry["dimension_matching"], entry["graph"]

@@ -145,6 +145,43 @@ def test_index_zero_is_named(tmp_path, command):
         1, "", "error: index 0 is not a positive integer\n")
 
 
+@pytest.mark.parametrize("command", [["strata", "validate"], ["glue", "run"]])
+def test_repeated_index_is_named(tmp_path, command):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"m": 1, "field": "R",
+                                "classes": [[[]], [[1, 1]]]}))
+    assert run(command + [str(path)]) == (
+        1, "", "error: index 1 is repeated in a support\n")
+
+
+@pytest.mark.parametrize("command", [["strata", "validate"], ["glue", "run"]])
+def test_count_too_long_for_decimal_is_a_violation(tmp_path, command):
+    path = tmp_path / "m20000.json"
+    path.write_text(json.dumps({"m": 20000, "field": "R",
+                                "classes": [[[]]]}))
+    code, out, err = run(command + [str(path)])
+    violation = "2^20000 - 1 subsets missing from the partition"
+    assert code == 1
+    if command[0] == "strata":
+        assert (json.loads(out), err) == (
+            {"ok": False, "violations": [violation]}, "")
+    else:
+        assert (out, err) == ("", "error: %s\n" % violation)
+
+
+def test_missing_field_is_r_for_both_commands(tmp_path):
+    path = tmp_path / "nofield.json"
+    path.write_text(json.dumps({"m": 1, "classes": [[[]], [[1]]]}))
+    code, out, err = run(["strata", "validate", str(path)])
+    assert (code, json.loads(out), err) == (
+        0, {"ok": True, "violations": []}, "")
+    with_field = tmp_path / "chain1.json"
+    with_field.write_text(json.dumps(chain_stratification(1).to_json()))
+    certified = run(["glue", "run", str(path)])
+    assert certified[0] == 0
+    assert certified == run(["glue", "run", str(with_field)])
+
+
 class TestGlueRun:
     def chain_model_path(self, tmp_path):
         model = linear_model(chain_stratification(2))

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from strataglue import replace
+from strataglue import dm_strata, replace
 from strataglue.dm_strata import (
     aut_equivariance,
     contraction_functoriality,
@@ -13,6 +13,7 @@ from strataglue.dm_strata import (
     verify_dimension_matching,
 )
 from strataglue.fields import COMPLEX
+from strataglue.gluing_engine import build_atlas
 from strataglue.linear_strata import popcount, validate
 from strataglue.stable_graphs import (StableGraph, build_poset,
                                       enumerate_stable_graphs)
@@ -159,44 +160,44 @@ class TestReport:
         assert dm_report(1, 2, with_atlas=False) == dm_report(
             1, 2, with_atlas=False)
 
-    def test_atlas_cache_reused(self):
-        cache = {}
-        dm_report(1, 1, with_atlas=True, atlas_cache=cache)
-        assert cache
-        before = dict(cache)
-        dm_report(1, 1, with_atlas=True, atlas_cache=cache)
-        assert cache == before
-        # keyed by field as well as classes: the charts are over C, and the
-        # same classes over R are a different model
-        assert all(field == COMPLEX for field, _ in cache)
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The (field, classes) of every stratification the reports build
+        an atlas of, as a set: one report builds each once."""
+        built = set()
 
-    def test_dimension_five_over_complex_charts(self):
-        """(2,2) and (1,5), 3g-3+n = 5, with one cache: every verdict of
-        every class holds on the complex charts."""
-        cache = {}
+        def counted(model):
+            built.add((model.strat.field, model.strat.classes))
+            return build_atlas(model)
+
+        monkeypatch.setattr(dm_strata, "build_atlas", counted)
+        return built
+
+    def test_dimension_five_over_complex_charts(self, built):
+        """(2,2) and (1,5), 3g-3+n = 5: every verdict of every class holds
+        on the complex charts of 58 distinct stratifications."""
         verdicts = ("dimension_matching", "functoriality", "equivariance",
                     "atlas_compatible", "atlas_separated", "atlas_covers")
         for (g, n), count in (((2, 2), 75), ((1, 5), 1576)):
-            rep = dm_report(g, n, with_atlas=True, atlas_cache=cache)
+            rep = dm_report(g, n, with_atlas=True)
             assert len(rep["classes"]) == count
             for entry in rep["classes"]:
                 assert all(entry[v] for v in verdicts), entry["graph"]
-        assert len(cache) == 58
-        assert all(field == COMPLEX for field, _ in cache)
+        assert len(built) == 58
+        assert all(field == COMPLEX for field, _ in built)
 
-    def test_dimension_six_over_complex_charts(self):
-        """(3,0) and (2,3), 3g-3+n = 6, with one cache: every verdict of
-        every class holds on the complex charts."""
-        cache = {}
+    def test_dimension_six_over_complex_charts(self, built):
+        """(3,0) and (2,3), 3g-3+n = 6: every verdict of every class holds
+        on the complex charts of 148 distinct stratifications."""
         verdicts = ("dimension_matching", "functoriality", "equivariance",
                     "atlas_compatible", "atlas_separated", "atlas_covers")
         for (g, n), count in (((3, 0), 42), ((2, 3), 555)):
-            rep = dm_report(g, n, with_atlas=True, atlas_cache=cache)
+            rep = dm_report(g, n, with_atlas=True)
             assert len(rep["classes"]) == count
             for entry in rep["classes"]:
                 assert all(entry[v] for v in verdicts), entry["graph"]
-        assert len(cache) == 148
-        assert all(field == COMPLEX for field, _ in cache)
+        assert len(built) == 148
+        assert all(field == COMPLEX for field, _ in built)
 
     def test_frozen_digest(self):
         # the reports of seven signatures, byte for byte

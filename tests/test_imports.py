@@ -1,6 +1,7 @@
 """Every name a module imports is referenced in that module, every private
-function of the package is referenced outside its definition, and no module
-of the package imports dataclasses."""
+function of the package is referenced outside its definition, no module of
+the package imports dataclasses, only the command line writes to standard
+output, and nothing in the package starts a process or a thread."""
 
 import ast
 import collections
@@ -55,6 +56,35 @@ def test_package_does_not_import_dataclasses():
     assert len(paths) > 5
     assert [path.name for path in paths
             if "dataclasses" in imported_modules(path)] == []
+
+
+def stdout_writes(path):
+    """Lines of the module that call print or name sys.stdout."""
+    tree = ast.parse(path.read_text(), str(path))
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        or isinstance(node, ast.Attribute) and node.attr == "stdout"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def test_only_the_cli_writes_to_stdout():
+    # a module that printed at import would corrupt the output of every
+    # command and of any program reading JSON from one
+    found = {path.name: stdout_writes(path)
+             for path in sorted(ROOT.glob("src/strataglue/*.py"))}
+    assert found.pop("cli.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_package_starts_no_process_or_thread():
+    starters = {"subprocess", "threading", "multiprocessing"}
+    found = {path.name: starters & {name.split(".")[0]
+                                    for name in imported_modules(path)}
+             for path in sorted(ROOT.glob("src/strataglue/*.py"))}
+    assert len(found) > 5
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def referenced_names(node):

@@ -80,6 +80,16 @@ class TestValidate:
                            % (index,)):
             mask_of((1, index))
 
+    def test_mask_of_names_a_repeated_index(self):
+        with pytest.raises(StratificationError,
+                           match="index 2 is repeated in a support"):
+            mask_of((2, 1, 2))
+
+    def test_from_json_reads_a_missing_field_as_r(self):
+        strat = LinearStratification.from_json({"m": 1,
+                                                "classes": [[[]], [[1]]]})
+        assert strat == chain_stratification(1, REAL)
+
     @pytest.mark.parametrize("m", [1.5, -1, True])
     def test_from_json_keeps_m(self, m):
         with pytest.raises(StratificationError, match="m must be"):
@@ -107,6 +117,11 @@ class TestValidate:
         assert child.stdout == (
             "ValidationReport(ok=False, violations=('%d subsets missing "
             "from the partition',))\n" % ((1 << 64) - 1))
+
+    def test_a_count_too_long_for_decimal_is_a_power_of_two(self):
+        # 2^20000 - 1 has 6021 digits, past the 4300 that Python writes
+        assert validate(20000, ((0,),)).violations == (
+            "2^20000 - 1 subsets missing from the partition",)
 
     def test_duplicate_subset_invalid(self):
         report = validate(1, ((0,), (0, ), (1,)))

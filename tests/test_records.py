@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from strataglue import Record, replace
-from strataglue.dm_strata import edge_stratification
+from strataglue.dm_strata import EdgeStratification, edge_stratification
 from strataglue.fields import COMPLEX, GaussianRational
 from strataglue.gluing_engine import (EngineError, StratifiedModel,
                                       build_atlas, linear_model)
@@ -18,7 +18,8 @@ from strataglue.linear_strata import (StratificationError, ValidationReport,
 from strataglue.plumbing import (HorocycleStructure, PlumbingError,
                                  PlumbingFixture)
 from strataglue.regions import Region
-from strataglue.stable_graphs import (GraphClass, StableGraph, StrataPoset,
+from strataglue.stable_graphs import (Automorphism, AutomorphismGroup,
+                                      GraphClass, StableGraph, StrataPoset,
                                       automorphism_group, build_poset)
 
 # two parallel edges between two vertices, two tails on each
@@ -72,6 +73,18 @@ def test_equality_needs_the_same_class():
     assert region != (0, ())
 
 
+def test_a_subclass_keeps_its_bases_fields():
+    class Narrower(Region):
+        __slots__ = ()
+
+    one, two = Narrower(0, ()), Narrower(1, ((1, ()),))
+    assert one != two and hash(one) != hash(two)
+    assert one == Narrower(0, ()) and hash(one) == hash(Narrower(0, ()))
+    assert repr(two).endswith(".Narrower(cls=1, terms=((1, ()),))")
+    assert replace(one, cls=1, terms=((1, ()),)) == two
+    assert copy.copy(two) == two
+
+
 def test_graph_class_compares_by_key_alone():
     gc = PARALLEL.canonical_form()
     other = GraphClass(gc.key, gc.graph.relabeled((1, 0)))
@@ -114,10 +127,13 @@ def test_gaussian_rationals_copy_and_pickle():
     assert twin == fixture and twin.t is not fixture.t
 
 
-@pytest.mark.parametrize("cls", [StableGraph, StratifiedModel, StrataPoset],
+@pytest.mark.parametrize("cls", [StableGraph, StratifiedModel, StrataPoset,
+                                 GraphClass, Automorphism, AutomorphismGroup,
+                                 EdgeStratification, ValidationReport,
+                                 Region],
                          ids=lambda cls: cls.__name__)
 def test_constructor_takes_every_field_once(cls):
-    # StableGraph spells out its constructor; the other two take Record's
+    # StableGraph spells out its constructor; the others take Record's
     names = cls.__slots__
     values = [(0,), (), (0, 0, 0), (), 0][:len(names)]
     record = cls(*values)
@@ -125,7 +141,7 @@ def test_constructor_takes_every_field_once(cls):
     assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == record
     assert tuple(getattr(record, name) for name in names) == tuple(values)
     for args, kwargs in [(values[:-1], {}), (values + [()], {}),
-                         (values[:-1], {names[0]: values[0]}),
+                         (values[:1], {names[0]: values[0]}),
                          (values, {"extra": ()})]:
         with pytest.raises(TypeError):
             cls(*args, **kwargs)
