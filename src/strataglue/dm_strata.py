@@ -18,8 +18,8 @@ from . import Record
 from .fields import COMPLEX
 from .gluing_engine import build_atlas, linear_model
 from .linear_strata import LinearStratification, popcount
-from .stable_graphs import (_canonical_key, _class_of, _key_dimension,
-                            automorphism_group, build_poset)
+from .stable_graphs import (_canonical_key, _class_of, _contracted,
+                            _key_dimension, automorphism_group, build_poset)
 
 
 class EdgeStratification(Record):
@@ -92,26 +92,32 @@ def contraction_functoriality(es):
     For every nested pair I inside I' the contraction by I' must equal,
     as a labelled graph, first contracting I and then the image of I' minus
     I.  Both number vertices by smallest original vertex and keep the order
-    of surviving edges, so this is exact, not up to isomorphism.  The
-    contraction by no edges must be the graph itself, so the check can
+    of surviving edges, so this is exact, not up to isomorphism.  A
+    labelled graph is its parts, so the second step runs on the parts of
+    the kept contraction by I and is compared with the parts kept for I':
+    the same comparison, with no graph per pair.  The image numbers the
+    edges outside I in order, so the I' above I, in increasing order, have
+    as images the subsets of that contraction's edges in increasing order.
+    The contraction by no edges must be the graph itself, so the check can
     fail on a class without edges too.
     """
     graph = es.graph_class.graph
     ne = graph.num_edges
     subsets = range(1 << ne)
     edges = [{e for e in range(ne) if mask & (1 << e)} for mask in subsets]
+    full = subsets[-1]
     direct = es.contractions
+    parts = [(c.genera, c.edges, c.tails) for c in direct]
     violations = [] if direct[0] == graph else ["I=[] is not the graph"]
-    for inner in subsets:
-        I = edges[inner]
-        emap = graph.surviving_edge_map(I)
-        for outer in subsets:
-            if outer & inner != inner:
-                continue
-            image = {emap[e] for e in edges[outer] - I}
-            if direct[inner].contract(image) != direct[outer]:
-                violations.append("I=%s I'=%s" % (sorted(I),
+    for inner, (genera, kept, tails) in enumerate(parts):
+        rest = full ^ inner
+        extra = 0  # runs over the subsets of rest in increasing order
+        for image in edges[:1 << len(edges[rest])]:
+            outer = inner | extra
+            if _contracted(genera, kept, tails, image) != parts[outer]:
+                violations.append("I=%s I'=%s" % (sorted(edges[inner]),
                                                   sorted(edges[outer])))
+            extra = (extra - rest) & rest
     return {"ok": not violations, "violations": violations}
 
 

@@ -25,16 +25,20 @@ class OrderError(StratificationError):
     pass
 
 
-def mask_of(indices):
-    mask = 0
+def mask_of(indices, m):
+    """Bitmask of 1-based indices in R^m.  An index above m takes a bit of
+    its own past m, not bit i - 1: the mask is out of range with the
+    popcount it would have, and a huge index builds no huge int."""
+    mask, seen = 0, set()
     for i in indices:
         if type(i) is not int or i < 1:
             raise StratificationError("index %r is not a positive integer"
                                       % (i,))
-        if mask >> (i - 1) & 1:
+        if i in seen:
             raise StratificationError("index %d is repeated in a support"
                                       % i)
-        mask |= 1 << (i - 1)
+        seen.add(i)
+        mask |= 1 << (i - 1 if i <= m else m + len(seen))
     return mask
 
 
@@ -159,9 +163,12 @@ class LinearStratification(Record):
 def _read_json(data):
     """The m, field and classes of a stratification's JSON form; the field
     is R unless given."""
-    classes = tuple(tuple(sorted(mask_of(I) for I in masks))
+    m = data["m"]
+    # validate stops on a bad m before it reads any mask
+    bound = m if type(m) is int and m >= 0 else 0
+    classes = tuple(tuple(sorted(mask_of(I, bound) for I in masks))
                     for masks in data["classes"])
-    return data["m"], data.get("field", REAL), classes
+    return m, data.get("field", REAL), classes
 
 
 class ValidationReport(Record):
@@ -225,19 +232,27 @@ def validate(m, classes, field=REAL):
     if not violations:
         # frontier condition: if one support of a class fits inside some
         # support of another class, all of them must (a stratum closure
-        # meeting another stratum has to contain it).  By here each class
-        # has one cardinality, and I inside J needs |I| <= |J|, with I = J
-        # when equal, which the partition rules out: only a pair from a
-        # smaller cardinality to a larger one can fail.
-        size = [popcount(masks[0]) for masks in classes]
-        n = len(classes)
-        for a in range(n):
-            for b in range(n):
-                if size[a] < size[b] and _partially_meets(classes[a],
-                                                          classes[b]):
-                    violations.append(
-                        "class %d partially meets the closure of class %d"
-                        % (a, b))
+        # meeting another stratum has to contain it).  up[I] holds, as
+        # bits, the classes with a support containing I: I's own class and
+        # those in up[] of I plus one index.  a partially meets the closure
+        # of b when b is in up[I] for some but not all I in a; then b is
+        # larger than a, since the partition holds and each class has one
+        # size.
+        up, bits = [0] * full, [1 << i for i in range(m)]
+        for I in range(full - 1, -1, -1):
+            row = 1 << seen[I]
+            for bit in bits:
+                if not I & bit:
+                    row |= up[I | bit]
+            up[I] = row
+        for a, masks in enumerate(classes):
+            some = every = up[masks[0]]
+            for I in masks:
+                some, every = some | up[I], every & up[I]
+            partial = some & ~every
+            violations += ["class %d partially meets the closure of class %d"
+                           % (a, b) for b in range(partial.bit_length())
+                           if partial >> b & 1]
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -271,7 +286,7 @@ def enumerate_stratifications(m, field=REAL):
     """
     levels = []
     for k in range(m + 1):
-        masks = [mask_of(c) for c in
+        masks = [mask_of(c, m) for c in
                  itertools.combinations(range(1, m + 1), k)]
         levels.append([
             tuple(sorted(tuple(sorted(g)) for g in part))
@@ -346,5 +361,6 @@ def chain_stratification(m, field=REAL):
     classes = []
     for k in range(m + 1):
         classes.append(tuple(sorted(
-            mask_of(c) for c in itertools.combinations(range(1, m + 1), k))))
+            mask_of(c, m)
+            for c in itertools.combinations(range(1, m + 1), k))))
     return LinearStratification(m, field, tuple(classes))

@@ -72,6 +72,29 @@ def _components(nv, edges):
     return parent
 
 
+def _contracted(genera, edges, tails, cut):
+    """StableGraph.contract on parts, by the set cut of valid edge ids."""
+    root = _components(len(genera), [edges[e] for e in cut])
+    new_of = []  # components numbered by root, their first vertex
+    new_genera = []
+    for v, r in enumerate(root):
+        if r == v:
+            new_of.append(len(new_genera))
+            new_genera.append(genera[v])
+        else:
+            new_of.append(new_of[r])
+            new_genera[new_of[r]] += genera[v] - 1
+    new_edges = []
+    for e, (u, v) in enumerate(edges):
+        if e in cut:
+            new_genera[new_of[u]] += 1
+        else:
+            a, b = new_of[u], new_of[v]
+            new_edges.append((a, b) if a <= b else (b, a))
+    return (tuple(new_genera), tuple(new_edges),
+            tuple(map(new_of.__getitem__, tails)))
+
+
 class StableGraph(Record):
     """A weighted dual graph.
 
@@ -154,35 +177,11 @@ class StableGraph(Record):
         Surviving edges keep their relative order.
         """
         D = set(edge_ids)
-        all_edges, old_genera = self.edges, self.genera
         for e in D:
-            if not 0 <= e < len(all_edges):
+            if not 0 <= e < len(self.edges):
                 raise GraphError("edge id %r not in graph" % (e,))
-        root = _components(len(old_genera), [all_edges[e] for e in D])
-        new_of = []  # components numbered by root, their first vertex
-        genera = []
-        for v, r in enumerate(root):
-            if r == v:
-                new_of.append(len(genera))
-                genera.append(old_genera[v])
-            else:
-                new_of.append(new_of[r])
-                genera[new_of[r]] += old_genera[v] - 1
-        edges = []
-        for e, (u, v) in enumerate(all_edges):
-            if e in D:
-                genera[new_of[u]] += 1
-            else:
-                a, b = new_of[u], new_of[v]
-                edges.append((a, b) if a <= b else (b, a))
-        return StableGraph._of(tuple(genera), tuple(edges),
-                               tuple(map(new_of.__getitem__, self.tails)))
-
-    def surviving_edge_map(self, edge_ids):
-        """Old edge id -> new edge id after contracting ``edge_ids``."""
-        D = set(edge_ids)
-        survivors = [e for e in range(self.num_edges) if e not in D]
-        return {e: i for i, e in enumerate(survivors)}
+        return StableGraph._of(*_contracted(self.genera, self.edges,
+                                            self.tails, D))
 
     def relabeled(self, perm):
         """Apply a vertex relabeling; ``perm[v]`` is the new id of v."""

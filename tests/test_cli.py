@@ -155,6 +155,30 @@ def test_repeated_index_is_named(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", [["strata", "validate"], ["glue", "run"]])
+def test_huge_index_is_out_of_range_at_once(tmp_path, command):
+    """An index of 10^11, whose bit alone would take 12.5 GB, is reported
+    as an index of 10^8 is: exit 1 with the same output and no traceback,
+    in a child with bounded memory and a timeout."""
+    def write(index):
+        path = tmp_path / ("index%d.json" % index)
+        path.write_text(json.dumps({"m": 1, "field": "R",
+                                    "classes": [[[]], [[1]], [[index]]]}))
+        return str(path)
+
+    violation = "class 2 contains an out-of-range subset"
+    expected = run(command + [write(10 ** 8)])
+    assert expected[0] == 1 and violation in expected[1] + expected[2]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "strataglue.cli", *command, write(10 ** 11)],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=bounded_memory)
+    assert (child.returncode, child.stdout, child.stderr) == expected
+
+
+@pytest.mark.parametrize("command", [["strata", "validate"], ["glue", "run"]])
 def test_count_too_long_for_decimal_is_a_violation(tmp_path, command):
     path = tmp_path / "m20000.json"
     path.write_text(json.dumps({"m": 20000, "field": "R",

@@ -12,11 +12,15 @@ from strataglue.dm_strata import (
     gluing_bundle_rank,
     verify_dimension_matching,
 )
-from strataglue.fields import COMPLEX
-from strataglue.gluing_engine import build_atlas
+from strataglue.fields import COMPLEX, real_axes
+from strataglue.gluing_engine import GluingDatum, build_atlas, linear_model
 from strataglue.linear_strata import popcount, validate
-from strataglue.stable_graphs import (StableGraph, build_poset,
+from strataglue.regions import Region
+from strataglue.stable_graphs import (StableGraph, _contracted,
+                                      automorphism_group, build_poset,
                                       enumerate_stable_graphs)
+
+import oracles
 
 
 def G(genera, edges, tails):
@@ -113,18 +117,79 @@ class TestFunctoriality:
     def test_reads_the_kept_contractions(self):
         """The check compares against edge_stratification's table of direct
         contractions: a wrong entry at any mask of any class, the edgeless
-        ones included, is a violation.  The wrong graph is the right one
-        with an extra tail on vertex 0, so it has the same edges and every
-        two-step contraction still runs."""
+        ones included, is a violation on exactly the pairs that read it, in
+        the check's order.  With an extra tail on vertex 0 (same edges, so
+        every two-step contraction still runs), the pairs that read the
+        entry on one side fail, and the pair (I, I) that reads it on both
+        agrees.  With the genera as a list, not in the normal form that a
+        contraction returns, every contraction of the entry is right and
+        exactly the pairs that read it as I' fail, (I, I) included.  So
+        every pair is a violation in some case, and a check that skipped
+        one would miss it."""
         for g, n in [(1, 2), (2, 0)]:
             for gc in enumerate_stable_graphs(g, n):
                 es = edge_stratification(gc)
                 table = es.contractions
+                ne = gc.graph.num_edges
+                pairs = [(I, J) for I in range(1 << ne)
+                         for J in range(1 << ne) if J & I == I]
                 for mask, c in enumerate(table):
-                    wrong = G(c.genera, c.edges, c.tails + (0,))
-                    bad = replace(es, contractions=table[:mask] + (wrong,)
-                                  + table[mask + 1:])
-                    assert not contraction_functoriality(bad)["ok"], mask
+                    cases = (
+                        (G(c.genera, c.edges, c.tails + (0,)),
+                         lambda I, J: (I == mask) != (J == mask)),
+                        (StableGraph._of(list(c.genera), c.edges, c.tails),
+                         lambda I, J: J == mask))
+                    for wrong, reads in cases:
+                        bad = replace(es, contractions=table[:mask]
+                                      + (wrong,) + table[mask + 1:])
+                        expected = ["I=[] is not the graph"] * (mask == 0)
+                        expected += ["I=%s I'=%s" % (edge_list(I),
+                                                     edge_list(J))
+                                     for I, J in pairs if reads(I, J)]
+                        assert contraction_functoriality(bad) == {
+                            "ok": False, "violations": expected}, mask
+
+    def test_builds_no_graph_per_pair(self, monkeypatch):
+        """The second step runs on parts: no contraction and no graph."""
+        ess = [edge_stratification(gc)
+               for gc in enumerate_stable_graphs(2, 1)]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+
+        monkeypatch.setattr(StableGraph, "contract", counted)
+        monkeypatch.setattr(StableGraph, "_of", counted)
+        assert all(contraction_functoriality(es)["ok"] for es in ess)
+        assert calls == []
+
+    @pytest.mark.parametrize("g,n", [(1, 3), (2, 1)])
+    def test_two_step_parts_match_closure_reference(self, g, n):
+        """On every nested pair I inside I' of every class, the second step
+        on the parts of the kept contraction by I equals the closure
+        reference applied twice, and applied once by I'."""
+        for gc in enumerate_stable_graphs(g, n):
+            graph = gc.graph
+            parts = (graph.genera, graph.edges, graph.tails)
+            es = edge_stratification(gc)
+            ne = graph.num_edges
+            for I in range(1 << ne):
+                first = es.contractions[I]
+                outside = edge_list(((1 << ne) - 1) ^ I)
+                for J in range(1 << ne):
+                    if J & I != I:
+                        continue
+                    image = {outside.index(e) for e in edge_list(J ^ I)}
+                    assert _contracted(first.genera, first.edges,
+                                       first.tails, image) == (
+                        oracles.contract_by_closure(
+                            *oracles.contract_by_closure(
+                                *parts, edge_list(I)), image)) == (
+                        oracles.contract_by_closure(*parts, edge_list(J)))
+
+
+def edge_list(mask):
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
 
 
 class TestEquivariance:
@@ -245,6 +310,63 @@ def test_every_target_is_a_poset_class(g, n):
     for gc in classes:
         for target, _ in edge_stratification(gc).targets:
             assert target in classes, (gc.describe(), target.describe())
+
+
+def moved(strat, perm, datum):
+    """The datum with coordinate e moved to perm[e]: its supports, the real
+    axes of its boxes and its scales permuted, and its class and every
+    class its words name sent to the class of the moved supports."""
+    k = real_axes(strat.field)
+
+    def move(mask):
+        return sum(1 << perm[e] for e in range(len(perm)) if mask >> e & 1)
+
+    def permuted(values, width):
+        out = [None] * len(values)
+        for i, value in enumerate(values):
+            out[perm[i // width] * width + i % width] = value
+        return tuple(out)
+
+    cls = [strat.class_of(move(masks[0])) for masks in strat.classes]
+
+    def word(w):
+        return tuple(
+            ("PSI", cls[p[1]], cls[p[2]],
+             tuple(sorted((move(J), move(I)) for J, I in p[3])))
+            if p[0] == "PSI" else (p[0],) + tuple(cls[c] for c in p[1:])
+            for p in w)
+
+    region = Region(cls[datum.region.cls], tuple(sorted(
+        (move(J), permuted(box, k)) for J, box in datum.region.terms)))
+    words = {cls[b]: word(w) for b, w in datum.bundle_words.items()}
+    return GluingDatum(cls[datum.stratum], region, permuted(datum.scales, 1),
+                       datum.epsilon, word(datum.phi_word), words)
+
+
+class TestOrbifoldGuard:
+    def test_built_atlas_is_automorphism_invariant(self):
+        """The chart at a class is C^E modulo Aut: each automorphism's edge
+        permutation, acting on the coordinates, maps every datum of the
+        class's built atlas to itself, on every class through 3g-3+n = 5
+        but those of (0, 8).  build_atlas writes class-indexed data with
+        whole-stratum regions and uniform scales, so this holds by
+        construction; the test guards any change to that.  The count is of
+        the (automorphism, datum) pairs whose permutation moves an edge."""
+        atlases = {}
+        moves = 0
+        for g, n in SMALL_SIGNATURES:
+            for gc in build_poset(g, n).elements:
+                strat = edge_stratification(gc).stratification
+                if strat.classes not in atlases:
+                    atlases[strat.classes] = build_atlas(
+                        linear_model(strat)).data
+                data = atlases[strat.classes].values()
+                for aut in automorphism_group(gc.graph).elements:
+                    perm = aut.edge_perm()
+                    for datum in data:
+                        assert moved(strat, perm, datum) == datum
+                        moves += perm != tuple(sorted(perm))
+        assert moves == 6917
 
 
 class TestSharedPerReport:

@@ -51,7 +51,7 @@ import oracles
 
 def strat(m, classes, field=REAL):
     return LinearStratification(
-        m, field, tuple(tuple(sorted(mask_of(I) for I in c))
+        m, field, tuple(tuple(sorted(mask_of(I, m) for I in c))
                         for c in classes))
 
 
@@ -94,15 +94,15 @@ class TestWords:
         assert normalize((phi(1, 1), glue(1))) == (glue(1),)
 
     def test_psi_glue(self):
-        w = (psi(1, 0, {mask_of((1,)): 0, mask_of((2,)): 0}), glue(0))
+        w = (psi(1, 0, {mask_of((1,), 2): 0, mask_of((2,), 2): 0}), glue(0))
         assert normalize(w) == (glue(1),)
 
     def test_psi_phi(self):
-        w = (psi(1, 0, {mask_of((1,)): 0, mask_of((2,)): 0}), phi(0, 2))
+        w = (psi(1, 0, {mask_of((1,), 2): 0, mask_of((2,), 2): 0}), phi(0, 2))
         assert normalize(w) == (phi(1, 2),)
 
     def test_idempotent(self):
-        w = (psi(2, 1, {mask_of((1, 2)): mask_of((1,))}),
+        w = (psi(2, 1, {mask_of((1, 2), 2): mask_of((1,), 2)}),
              phi(1, 1), phi(1, 2), glue(2))
         assert normalize(normalize(w)) == normalize(w)
 
@@ -123,15 +123,15 @@ class TestEvaluate:
     def test_phi_advances_chain(self):
         s = CHAIN2.strat
         v = (Fraction(1), Fraction(1, 2))
-        chain = (0, mask_of((1,)))
+        chain = (0, mask_of((1,), 2))
         out = evaluate(s, (phi(0, 1),), (chain, v))
-        assert out == ((mask_of((1,)),), v)
+        assert out == ((mask_of((1,), 2),), v)
 
     def test_phi_falls_back_to_support(self):
         s = CHAIN2.strat
         v = (Fraction(1), Fraction(1, 2))
         out = evaluate(s, (phi(0, 2),), ((0,), v))
-        assert out == ((mask_of((1, 2)),), v)
+        assert out == ((mask_of((1, 2), 2),), v)
 
     def test_wrong_stratum_rejected(self):
         s = CHAIN2.strat

@@ -10,19 +10,24 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from strataglue.dm_strata import edge_stratification
 from strataglue.fields import COMPLEX, REAL, GaussianRational
 from strataglue.linear_strata import (
     LinearStratification,
     OrderError,
     StratificationError,
+    ValidationReport,
+    _read_json,
     _set_partitions,
     chain_stratification,
     enumerate_stratifications,
     indices_of,
     mask_of,
+    popcount,
     preserves_stratification,
     validate,
 )
+from strataglue.stable_graphs import build_poset
 
 import oracles
 
@@ -36,16 +41,14 @@ def bounded_memory():
 def strat(m, classes, field=REAL):
     return LinearStratification(
         m, field,
-        tuple(tuple(sorted(mask_of(I) for I in c)) for c in classes))
+        tuple(tuple(sorted(mask_of(I, m) for I in c)) for c in classes))
 
 
 CHAIN2 = strat(2, [[()], [(1,), (2,)], [(1, 2)]])
 # {1} fits inside {1,3} but {2} does not: the class {{1},{2}} meets the
 # closure of {{1,3}} without being contained in it
-FRONTIER_FAILURE = ((0,), (mask_of((1,)), mask_of((2,))), (mask_of((3,)),),
-                    (mask_of((1, 3)),),
-                    (mask_of((1, 2)), mask_of((2, 3))),
-                    (mask_of((1, 2, 3)),))
+FRONTIER_FAILURE = tuple(tuple(mask_of(I, 3) for I in c) for c in (
+    ((),), ((1,), (2,)), ((3,),), ((1, 3),), ((1, 2), (2, 3)), ((1, 2, 3),)))
 
 
 class TestValidate:
@@ -57,7 +60,8 @@ class TestValidate:
         assert validate(1, ((0,), (1,))).ok
 
     def test_cardinality_mix_invalid(self):
-        classes = ((0, mask_of((1,))), (mask_of((2,)), mask_of((1, 2))))
+        classes = ((0, mask_of((1,), 2)),
+                   (mask_of((2,), 2), mask_of((1, 2), 2)))
         report = validate(2, classes)
         assert not report.ok
         assert any("cardinalities" in v for v in report.violations)
@@ -78,12 +82,34 @@ class TestValidate:
         with pytest.raises(StratificationError,
                            match="index %r is not a positive integer"
                            % (index,)):
-            mask_of((1, index))
+            mask_of((1, index), 2)
 
     def test_mask_of_names_a_repeated_index(self):
         with pytest.raises(StratificationError,
                            match="index 2 is repeated in a support"):
-            mask_of((2, 1, 2))
+            mask_of((2, 1, 2), 2)
+
+    def test_mask_of_puts_an_index_above_m_past_m(self):
+        # each index above m takes a bit of its own from m up
+        mask = mask_of((2, 10 ** 11, 1), 1)
+        assert mask & 1 and popcount(mask) == 3 and mask.bit_length() < 8
+        assert mask_of((1, 3), 3) == 0b101
+        with pytest.raises(StratificationError,
+                           match="index %d is repeated" % 10 ** 11):
+            mask_of((10 ** 11, 1, 10 ** 11), 1)
+
+    @pytest.mark.parametrize("big", [[3], [1, 3], [3, 4]])
+    def test_a_huge_index_reads_as_any_index_above_m(self, big):
+        """A file naming 10^11 gets the report it gets with m + 1 in its
+        place, whatever the support's size, and builds no 2^(10^11)."""
+        def report(index):
+            data = {"m": 2, "field": "C", "classes": [
+                [[]], [[1]], [[2]], [[1, 2]],
+                [[index if i == 3 else i for i in big]]]}
+            m, field, classes = _read_json(data)
+            return validate(m, classes, field)
+        assert report(10 ** 11) == report(3)
+        assert any("out-of-range" in v for v in report(3).violations)
 
     def test_from_json_reads_a_missing_field_as_r(self):
         strat = LinearStratification.from_json({"m": 1,
@@ -97,7 +123,7 @@ class TestValidate:
                 {"m": m, "field": "R", "classes": [[[]], [[1]]]})
 
     def test_missing_subset_invalid(self):
-        report = validate(2, ((0,), (mask_of((1, 2)),)))
+        report = validate(2, ((0,), (mask_of((1, 2), 2),)))
         assert not report.ok
         assert any("missing" in v for v in report.violations)
 
@@ -134,8 +160,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_matches_all_pairs_reference(self, field):
-        """The frontier loop tests only pairs from a smaller cardinality to
-        a larger one; the reference tests every ordered pair.  The whole
+        """The frontier check compares the sets of classes above each
+        support; the reference tests every ordered pair.  The whole
         report agrees on every product of per-size set partitions for
         m <= 3, accepted or rejected, and on the frontier failure."""
         candidates = [(m, classes) for m in range(4)
@@ -149,6 +175,44 @@ class TestValidate:
             rejected += not report.ok
         assert (len(candidates), rejected) == (30, 14)
 
+    @pytest.mark.parametrize("g,n", [(1, 4), (2, 2)])
+    def test_edge_stratifications_match_all_pairs_reference(self, g, n):
+        """The whole report agrees with the reference on the edge
+        stratification of every (g, n) class (m up to 4 and 5) and on one
+        failing case of each of the reference's messages, made from the
+        one with the most edges: an unknown field, an empty class, mixed
+        cardinalities, an out-of-range subset, a repeated subset, a missing
+        class, and two classes of one size merged against the frontier."""
+        strats = [edge_stratification(gc).stratification
+                  for gc in build_poset(g, n).elements]
+        for s in strats:
+            assert validate(s.m, s.classes, s.field) == ValidationReport(
+                *oracles.validate_all_pairs(s.m, s.classes, s.field))
+        s = max(strats, key=lambda s: s.m)
+        m, classes = s.m, s.classes
+        one = [a for a, masks in enumerate(classes)
+               if popcount(masks[0]) == 1]
+        merges = [classes[:a] + classes[a + 1:b] + classes[b + 1:]
+                  + (tuple(sorted(classes[a] + classes[b])),)
+                  for a, b in itertools.combinations(range(len(classes)), 2)
+                  if popcount(classes[a][0]) == popcount(classes[b][0])]
+        frontier = next(c for c in merges
+                        if not oracles.validate_all_pairs(m, c, COMPLEX)[0])
+        cases = [
+            ("Q", classes, "unknown ground field"),
+            (COMPLEX, classes + ((),), "is empty"),
+            (COMPLEX, classes[1:-1] + (classes[0] + classes[-1],), "mixes"),
+            (COMPLEX, classes[:one[0]] + (classes[one[0]] + (1 << m,),)
+             + classes[one[0] + 1:], "out-of-range"),
+            (COMPLEX, classes + (classes[one[0]][:1],), "appears in"),
+            (COMPLEX, classes[:one[0]] + classes[one[0] + 1:], "missing"),
+            (COMPLEX, frontier, "partially meets")]
+        for field, case, message in cases:
+            report = validate(m, case, field)
+            assert report == ValidationReport(
+                *oracles.validate_all_pairs(m, case, field))
+            assert any(message in v for v in report.violations), message
+
     def test_invalid_construction_rejected(self):
         with pytest.raises(StratificationError):
             strat(2, [[(), (1,)], [(2,), (1, 2)]])
@@ -161,7 +225,7 @@ class TestValidate:
         for m in (1, 2, 3):
             levels = []
             for k in range(m + 1):
-                masks = [mask_of(c) for c in
+                masks = [mask_of(c, m) for c in
                          itertools.combinations(range(1, m + 1), k)]
                 levels.append(list(_set_partitions(masks)))
             for combo in itertools.product(*levels):
@@ -208,8 +272,8 @@ class TestStratumOf:
 class TestNormalStratum:
     def test_middle_to_top(self):
         pieces = CHAIN2.normal_stratum(1, 2)
-        assert pieces == {mask_of((1,)): (mask_of((1, 2)),),
-                          mask_of((2,)): (mask_of((1, 2)),)}
+        assert pieces == {mask_of((1,), 2): (mask_of((1, 2), 2),),
+                          mask_of((2,), 2): (mask_of((1, 2), 2),)}
 
     def test_reflexive_is_identity(self):
         for a in range(CHAIN2.num_classes):
@@ -217,7 +281,7 @@ class TestNormalStratum:
             assert pieces == {I: (I,) for I in CHAIN2.classes[a]}
 
     def test_bottom_to_top(self):
-        assert CHAIN2.normal_stratum(0, 2) == {0: (mask_of((1, 2)),)}
+        assert CHAIN2.normal_stratum(0, 2) == {0: (mask_of((1, 2), 2),)}
 
     def test_order_violation(self):
         with pytest.raises(OrderError):
@@ -234,7 +298,7 @@ class TestNormalStratum:
 class TestDoubleNormal:
     def test_chain_bottom_middle(self):
         pieces = CHAIN2.double_normal(0, 1)
-        assert set(pieces) == {(0, mask_of((1,))), (0, mask_of((2,)))}
+        assert set(pieces) == {(0, mask_of((1,), 2)), (0, mask_of((2,), 2))}
 
     def test_strict_order_required(self):
         with pytest.raises(OrderError):
@@ -279,12 +343,13 @@ class TestTauEmbed:
 
     def test_larger_support(self):
         point = (Fraction(2), Fraction(3))
-        out, b = CHAIN2.tau_embed(1, 2, mask_of((1,)), point)
+        out, b = CHAIN2.tau_embed(1, 2, mask_of((1,), 2), point)
         assert out == point and b == 2
 
     def test_support_mismatch_rejected(self):
         with pytest.raises(StratificationError):
-            CHAIN2.tau_embed(1, 2, mask_of((1,)), (Fraction(0), Fraction(1)))
+            CHAIN2.tau_embed(1, 2, mask_of((1,), 2),
+                             (Fraction(0), Fraction(1)))
 
     def test_stratum_of_composition_constant(self):
         s = chain_stratification(3)

@@ -145,7 +145,7 @@ class TestContract:
             for I in map(set, itertools.chain.from_iterable(
                     itertools.combinations(edge_ids, r)
                     for r in range(g.num_edges + 1))):
-                emap = g.surviving_edge_map(I)
+                emap = {e: i for i, e in enumerate(sorted(set(edge_ids) - I))}
                 mid = g.contract(I)
                 for Ip in map(set, itertools.chain.from_iterable(
                         itertools.combinations(edge_ids, r)
