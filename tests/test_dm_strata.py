@@ -16,9 +16,9 @@ from strataglue.fields import COMPLEX, real_axes
 from strataglue.gluing_engine import GluingDatum, build_atlas, linear_model
 from strataglue.linear_strata import popcount, validate
 from strataglue.regions import Region
-from strataglue.stable_graphs import (StableGraph, _contracted,
-                                      automorphism_group, build_poset,
-                                      enumerate_stable_graphs)
+from strataglue.stable_graphs import (StableGraph, _canonical_key,
+                                      _contracted, automorphism_group,
+                                      build_poset, enumerate_stable_graphs)
 
 import oracles
 
@@ -192,6 +192,90 @@ def edge_list(mask):
     return [e for e in range(mask.bit_length()) if mask >> e & 1]
 
 
+def wrong_entries(es):
+    """Each kept contraction made wrong in the two ways of
+    test_reads_the_kept_contractions, with the violations it gives."""
+    table = es.contractions
+    ne = es.graph_class.graph.num_edges
+    pairs = [(I, J) for I in range(1 << ne)
+             for J in range(1 << ne) if J & I == I]
+    for mask, c in enumerate(table):
+        cases = (
+            (G(c.genera, c.edges, c.tails + (0,)),
+             lambda I, J: (I == mask) != (J == mask)),
+            (StableGraph._of(list(c.genera), c.edges, c.tails),
+             lambda I, J: J == mask))
+        for wrong, reads in cases:
+            expected = ["I=[] is not the graph"] * (mask == 0)
+            expected += ["I=%s I'=%s" % (edge_list(I), edge_list(J))
+                         for I, J in pairs if reads(I, J)]
+            yield (replace(es, contractions=table[:mask] + (wrong,)
+                           + table[mask + 1:]), expected)
+
+
+class TestContractionTable:
+    """dm_report shares one contraction table between its classes' edge
+    stratifications and functoriality checks; called alone, each builds
+    its own."""
+
+    @pytest.mark.parametrize("with_atlas", [False, True])
+    @pytest.mark.parametrize("g,n", [(0, 5), (1, 2), (2, 1), (2, 2)])
+    def test_report_is_the_checks_run_alone(self, g, n, with_atlas):
+        report = dm_report(g, n, with_atlas=with_atlas)
+        alone = public_report(g, n, with_atlas)
+        assert len(report["classes"]) == len(alone["classes"])
+        for entry, expected in zip(report["classes"], alone["classes"]):
+            assert entry == expected, entry["graph"]
+        assert report == alone
+
+    def test_wrong_entry_with_the_true_rows_held(self):
+        """A wrong kept contraction gives the violations it gives alone
+        when the shared table already holds the true rows of every class
+        of the signature; the genera-as-list entry is keyed as the true
+        one, so its row is the true row."""
+        for g, n in [(1, 2), (2, 0)]:
+            table = dm_strata._Contractions()
+            ess = [edge_stratification(gc, table)
+                   for gc in build_poset(g, n).elements]
+            assert all(contraction_functoriality(es, table)["ok"]
+                       for es in ess)
+            held = dict(table.rows)
+            for es in ess:
+                for bad, expected in wrong_entries(es):
+                    assert contraction_functoriality(bad, table) == {
+                        "ok": False, "violations": expected}
+            assert all(table.rows[parts] is row
+                       for parts, row in held.items())
+
+    @pytest.mark.parametrize("g,n", [(0, 5), (1, 3), (2, 1)])
+    def test_each_labelled_graph_once(self, g, n, monkeypatch):
+        """A report contracts each distinct labelled graph it meets by
+        every edge mask once and keys it once, and builds one class per
+        key: its labelled graphs are the kept contractions of its classes,
+        the class graphs among them."""
+        met = {(c.genera, c.edges, c.tails)
+               for gc in build_poset(g, n).elements
+               for c in edge_stratification(gc).contractions}
+        calls = {"_contracted": 0, "_canonical_key": 0, "_class_of": 0}
+
+        def counted(name):
+            fn = getattr(dm_strata, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(dm_strata, name, counted(name))
+        dm_report(g, n, with_atlas=False)
+        monkeypatch.undo()
+        assert calls == {
+            "_contracted": sum(1 << len(edges) for _, edges, _ in met),
+            "_canonical_key": len(met),
+            "_class_of": len({_canonical_key(*parts) for parts in met})}
+
+
 class TestEquivariance:
     def test_trivial_group(self):
         rep = aut_equivariance(edge_stratification(LOOP11))
@@ -273,16 +357,17 @@ class TestReport:
                                  "8732c6da5e519dee58a5df80dde2064a")
 
 
-def public_report(g, n):
-    """dm_report without the atlas, class by class through the public
-    functions: edge_stratification, then the three checks."""
+def public_report(g, n, with_atlas=False):
+    """dm_report class by class through the public functions, each called
+    alone: edge_stratification, then the three checks, and with the atlas
+    one build per class."""
     entries = []
     for gc in build_poset(g, n).elements:
         es = edge_stratification(gc)
         dim_rep = verify_dimension_matching(es)
         fun_rep = contraction_functoriality(es)
         aut_rep = aut_equivariance(es)
-        entries.append({
+        entry = {
             "graph": gc.describe(),
             "edges": gc.graph.num_edges,
             "dimension": gc.graph.dimension(),
@@ -291,9 +376,16 @@ def public_report(g, n):
             "functoriality": fun_rep["ok"],
             "aut_order": aut_rep["aut_order"],
             "equivariance": aut_rep["ok"],
-        })
-    ok = all(e["dimension_matching"] and e["functoriality"]
-             and e["equivariance"] for e in entries)
+        }
+        if with_atlas:
+            report = build_atlas(linear_model(es.stratification))
+            entry["atlas_compatible"] = report.all_compatible
+            entry["atlas_separated"] = report.separation_ok
+            entry["atlas_covers"] = report.cover_ok
+        entries.append(entry)
+    ok = all(e.get(verdict, True) for e in entries for verdict in (
+        "dimension_matching", "functoriality", "equivariance",
+        "atlas_compatible", "atlas_separated", "atlas_covers"))
     return {"signature": [g, n], "ok": ok, "classes": entries}
 
 
