@@ -42,11 +42,6 @@ class EdgeStratification(Record):
         return len(self.targets)
 
 
-def gluing_bundle_rank(gc):
-    """Rank of the sum of one line per node: the edge count."""
-    return gc.graph.num_edges
-
-
 class _Contractions:
     """Rows and classes of labelled graphs, keyed by their parts with the
     genera as a tuple.  A row is the contraction by every edge mask; its

@@ -8,8 +8,8 @@ the tag chain to class b, PSI(b,a,choice) prepends a chosen base tag.  The
 composition identities between charts and bundle maps become a terminating
 rewrite system on words, and two maps are equal exactly when their normal
 forms are.  Data normalize their words on construction, so coincidence is
-decided by comparing words; words_equal also evaluates two words at
-deterministic tagged sample points, as a cross-check of the rewrite rules.
+decided by comparing words; words_equal also evaluates two words at every
+nested support chain through given classes, a decided check of the rules.
 
 The paper's construction runs one pass per poset layer: the data induced
 from the strata below (induce) are sewed over the union of their chart
@@ -18,12 +18,12 @@ checks agreement on a collar), and the radii below are capped at half the
 collar radius.  On this model the chain always returns the canonical datum,
 and the collar radius is half the smallest radius below, so build_atlas
 writes that closed form directly (its docstring gives the reasons); the
-tests run the chain through these primitives as the reference build_atlas
-must reproduce.  The report certifies pairwise compatibility (on every
-common higher stratum the data induced over the two whole chart images
-agree in metric and words, or else those images, built only then, are
-disjoint), the separation of images of incomparable strata, and that the
-chart images cover the whole space.
+chain stays public as the tests' reference that build_atlas must reproduce,
+and perfbench's per-layer metrics name induce, sew and inward_extend.  The
+report certifies pairwise compatibility (on every common higher stratum the
+data induced over the two whole chart images agree in metric and words, or
+else those images, built only then, are disjoint), the separation of images
+of incomparable strata, and that the chart images cover the whole space.
 
 Separation and cover are decided exactly, with the same box calculus as
 that disjointness, on each support piece's own axes (the piece
@@ -121,6 +121,7 @@ def evaluate(strat, word, point):
     vector's support always contains the last tag.  GLUE returns the bare
     vector, PHI advances the chain to the first tag of the target class
     (falling back to the vector's own support), PSI prepends its chosen tag.
+    It stays public because perfbench's per-layer metrics name it.
     """
     chain, vector = point
     chain = tuple(chain)
@@ -151,51 +152,32 @@ def evaluate(strat, word, point):
     return chain, vector
 
 
-def tagged_samples(strat, field, chain_classes, count, seed=11):
-    """Deterministic tagged points with the given chain of classes.
+def tagged_samples(strat, field, chain_classes):
+    """One tagged point per chain of nested supports through the classes.
 
-    Chains walk nested supports through the classes; vector supports equal
-    the final tag.  Used to cross-check word equality by evaluation.
+    Its vector is 1 on the chain's last tag and 0 elsewhere.  evaluate reads
+    the vector only through its support, so these points stand for every
+    point whose vector support is the chain's last tag.
     """
-    chains = []
-    for combo in itertools.product(*(strat.classes[c]
-                                     for c in chain_classes)):
-        if all(combo[i] & combo[i + 1] == combo[i]
-               for i in range(len(combo) - 1)):
-            chains.append(combo)
-    if not chains:
-        return []
-    out = []
-    state = seed
-    idx = 0
-    while len(out) < count:
-        chain = chains[idx % len(chains)]
-        idx += 1
-        top = chain[-1]
-        coords = []
-        for coord in range(1, strat.m + 1):
-            parts = []
-            for _ in range(real_axes(field)):
-                state = (state * 1103515245 + 12345) % (2 ** 31)
-                if top & (1 << (coord - 1)):
-                    parts.append(Fraction((state % 63) + 1, 64))
-                else:
-                    parts.append(Fraction(0))
-            coords.append(from_real_parts(field, tuple(parts)))
-        out.append((chain, tuple(coords)))
-    return out
+    one = zero(field) + 1
+    return [(chain, tuple(one if chain[-1] >> i & 1 else zero(field)
+                          for i in range(strat.m)))
+            for chain in itertools.product(*(strat.classes[c]
+                                             for c in chain_classes))
+            if all(I & J == I for I, J in zip(chain, chain[1:]))]
 
 
-def words_equal(strat, field, w1, w2, chain_classes, count=100):
-    """Normal-form equality cross-checked at deterministic sample points.
+def words_equal(strat, field, w1, w2, chain_classes):
+    """Normal-form equality, checked by evaluation at every point of
+    tagged_samples, so decided on every nested support chain.
 
-    Fails closed: when no sample point evaluates under both words, the
-    cross-check has shown nothing and the answer is False.
+    Fails closed: when no point evaluates under both words, the check has
+    shown nothing and the answer is False.
     """
     if normalize(w1) != normalize(w2):
         return False
     evaluated = 0
-    for point in tagged_samples(strat, field, chain_classes, count):
+    for point in tagged_samples(strat, field, chain_classes):
         try:
             r1 = evaluate(strat, w1, point)
             r2 = evaluate(strat, w2, point)
@@ -321,7 +303,8 @@ class GluingDatum(Record):
 
 
 def point_in_image(model, datum, v):
-    """Exact membership of an ambient point in the chart image R(phi)."""
+    """Exact membership of an ambient point in the chart image R(phi): the
+    pointwise reference for image_region, which perfbench's metrics name."""
     strat = model.strat
     cls, mask = strat.stratum_of(v)
     a = datum.stratum
@@ -744,5 +727,6 @@ def build_atlas(model):
 
 
 def verify_cover(model, data):
-    """Every point must lie in some chart image: (ok, witnesses)."""
+    """Every point must lie in some chart image: (ok, witnesses).  It stays
+    public because perfbench's per-layer metrics name it."""
     return _exact_checks(model, data)[1]

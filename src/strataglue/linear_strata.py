@@ -6,7 +6,9 @@ indices where it is nonzero.  Supports are grouped into index classes, all
 members of one class having the same cardinality, and the classes carry the
 partial order where one class precedes another when each of its supports is
 contained in some support of the other.  Subsets of {1..m} are stored as
-integer bitmasks throughout.
+integer bitmasks throughout.  normal_stratum, tau_embed, matrix_is_invertible
+and preserves_stratification are the paper's normal-bundle calculus, tested
+directly, though no command runs them.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ the axes of J (_on_piece).  A cell there, split so that each coordinate of
 J is nonzero (split_nonzero), is a cell of the piece itself; subset, collar,
 emptiness, separation and cover are all covers of such cells by the boxes
 on the same axes (_piece_gap).  This works the same on values and on the
-signed ranks of _ranking, since 0 ranks 0.
+signed ranks of _ranking, since 0 ranks 0.  region_subset, region_contains,
+boundary_type and collar stay public: gluing_engine's induce, sew and
+inward_extend chain uses them, and perfbench's per-layer metrics name them.
 """
 
 from __future__ import annotations

@@ -138,10 +138,6 @@ class StableGraph(Record):
     def num_edges(self):
         return len(self.edges)
 
-    @property
-    def num_tails(self):
-        return len(self.tails)
-
     def valence(self, v):
         """m_v: tails plus half-edges at v (a loop contributes two)."""
         return _vertex_invariants(self.genera, self.edges, self.tails)[v][1]
@@ -174,7 +170,8 @@ class StableGraph(Record):
         Each connected component of the contracted subgraph collapses to one
         vertex whose weight is the sum of the member weights plus the first
         Betti number of the component, so the total genus is preserved.
-        Surviving edges keep their relative order.
+        Surviving edges keep their relative order.  It stays public because
+        perfbench's per-layer metrics name it.
         """
         D = set(edge_ids)
         for e in D:

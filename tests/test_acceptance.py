@@ -138,17 +138,16 @@ def test_criterion_5_chart_identities():
                     lhs = (glue(a),)
                     rhs = (phi(a, b), glue(b))
                     assert normalize(lhs) == normalize(rhs)
-                    assert words_equal(s, REAL, lhs, rhs, (a, b), count=100)
+                    assert words_equal(s, REAL, lhs, rhs, (a, b))
                     for c in s.above(b):
                         if len({a, b, c}) < 3:
                             continue
                         lhs = (phi(a, c),)
                         rhs = (phi(a, b), phi(b, c))
                         assert normalize(lhs) == normalize(rhs)
-                        assert words_equal(s, REAL, lhs, rhs, (a, b, c),
-                                           count=100)
+                        assert words_equal(s, REAL, lhs, rhs, (a, b, c))
     report(5, "chart transition identities hold in normal form and at "
-              "100 rational points per chain in all m <= 3 models")
+              "every nested support chain in all m <= 3 models")
 
 
 def test_criterion_6_plumbing():

@@ -9,7 +9,6 @@ from strataglue.dm_strata import (
     contraction_functoriality,
     dm_report,
     edge_stratification,
-    gluing_bundle_rank,
     verify_dimension_matching,
 )
 from strataglue.fields import COMPLEX, real_axes
@@ -31,17 +30,6 @@ LOOP11 = G([0], [(0, 0)], [0]).canonical_form()
 TWOLOOP = G([0], [(0, 0), (0, 0)], []).canonical_form()
 BRIDGE_LOOP = G([1, 0], [(0, 1), (1, 1)], []).canonical_form()
 PARALLEL = G([1, 0], [(0, 1), (0, 1)], []).canonical_form()
-
-
-class TestRank:
-    def test_zero_edges(self):
-        assert gluing_bundle_rank(G([2], [], []).canonical_form()) == 0
-
-    def test_loop(self):
-        assert gluing_bundle_rank(LOOP11) == 1
-
-    def test_two_loops(self):
-        assert gluing_bundle_rank(TWOLOOP) == 2
 
 
 class TestEdgeStratification:
@@ -402,6 +390,36 @@ def test_every_target_is_a_poset_class(g, n):
     for gc in classes:
         for target, _ in edge_stratification(gc).targets:
             assert target in classes, (gc.describe(), target.describe())
+
+
+@pytest.mark.parametrize("g,n", [(2, 3), (3, 1), (4, 0)])
+def test_targets_are_the_poset_interval(g, n):
+    """The degeneration pass and the contraction layer agree beyond the
+    naive enumerator's reach: a class's edge-stratification targets are
+    exactly the classes reachable from it along build_poset's covers, itself
+    included, and leq on its stratification is reachability between them."""
+    poset = build_poset(g, n)
+    index = {gc: i for i, gc in enumerate(poset.elements)}
+    up = [[] for _ in poset.elements]
+    for a, b in poset.covers:
+        up[a].append(b)
+    closure = {}
+
+    def reachable(a):
+        if a not in closure:
+            closure[a] = frozenset({a}).union(*map(reachable, up[a]))
+        return closure[a]
+
+    table = dm_strata._Contractions()
+    for gc in poset.elements:
+        es = edge_stratification(gc, table)
+        targets = [index.get(target) for target, _ in es.targets]
+        assert len(set(targets)) == len(targets)
+        assert set(targets) == reachable(index[gc]), gc.describe()
+        position = {a: i for i, a in enumerate(targets)}
+        for i, a in enumerate(targets):
+            assert set(es.stratification.above(i)) == {
+                position[b] for b in reachable(a)}, (gc.describe(), i)
 
 
 def moved(strat, perm, datum):

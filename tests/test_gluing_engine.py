@@ -139,7 +139,7 @@ class TestEvaluate:
             evaluate(s, (glue(2),), ((0,), (Fraction(1), Fraction(1))))
 
     def test_identity_phi_after_glue(self):
-        # phi^a = phi^b . Phi^a_b at every sample point
+        # phi^a = phi^b . Phi^a_b at every nested support chain
         s = CHAIN2.strat
         for a, b in [(0, 1), (0, 2), (1, 2)]:
             lhs = (glue(a),)
@@ -165,11 +165,26 @@ class TestEvaluate:
     def test_words_equal_fails_closed(self):
         s = CHAIN2.strat
         # no support of class 2 sits inside one of class 1: no chain
-        assert tagged_samples(s, REAL, (2, 1), 10) == []
+        assert tagged_samples(s, REAL, (2, 1)) == []
         assert not words_equal(s, REAL, (glue(2),), (glue(2),), (2, 1))
         # every sample lies over stratum 1, where glue(0) cannot evaluate
         assert not words_equal(s, REAL, (glue(0),), (glue(0),), (1, 2))
         assert words_equal(s, REAL, (glue(1),), (glue(1),), (1, 2))
+
+    def test_one_point_per_nested_support_chain(self):
+        # chain(8) has 420 pairs of a 2-support inside a 4-support, more
+        # than a cycle of 100 sampled points could reach
+        s = chain_stratification(8)
+        pairs = [(mask_of(inner, 8), mask_of(outer, 8))
+                 for outer in itertools.combinations(range(1, 9), 4)
+                 for inner in itertools.combinations(outer, 2)]
+        points = tagged_samples(s, REAL, (2, 4))
+        assert len(pairs) == len(set(pairs)) == 420
+        assert len(points) == 420
+        assert sorted(chain for chain, _ in points) == sorted(pairs)
+        for chain, vector in points:
+            assert s.stratum_of(vector) == (4, chain[-1])
+            assert set(vector) <= {0, 1}
 
 
 class TestRestrict:
@@ -181,7 +196,7 @@ class TestRestrict:
         d = CHAIN2.canonical_datum(0)
         r = restrict(CHAIN2, d, d.region, d.epsilon / 2)
         s = CHAIN2.strat
-        for point in tagged_samples(s, REAL, (0, 2), 20):
+        for point in tagged_samples(s, REAL, (0, 2)):
             assert (evaluate(s, r.phi_word, point)
                     == evaluate(s, d.phi_word, point))
 
@@ -220,7 +235,7 @@ class TestInduce:
         img = image_region(CHAIN2, d, 1)
         e = induce(CHAIN2, d, 1, img, d.epsilon / 2)
         s = CHAIN2.strat
-        for point in tagged_samples(s, REAL, (1, 2), 30):
+        for point in tagged_samples(s, REAL, (1, 2)):
             assert (evaluate(s, e.phi_word, point)
                     == evaluate(s, (glue(1),), point))
 
@@ -457,7 +472,7 @@ def test_chart_words_keep_the_vector(model):
 
     def check(d):
         for c in s.above(d.stratum):
-            for chain, vector in tagged_samples(s, field, (d.stratum, c), 8):
+            for chain, vector in tagged_samples(s, field, (d.stratum, c)):
                 assert evaluate(s, d.phi_word, (chain, vector)) == vector
 
     for g, d in data.items():

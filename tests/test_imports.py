@@ -1,10 +1,12 @@
 """Every name a module imports is referenced in that module, every private
 function of the package is referenced outside its definition, no module of
 the package imports dataclasses, only the command line writes to standard
-output, and nothing in the package starts a process or a thread."""
+output, nothing in the package starts a process or a thread, and every
+function a benchmark metric reads stays public."""
 
 import ast
 import collections
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,3 +109,56 @@ def test_every_private_function_is_referenced():
     assert [node.name for node in helpers
             if everywhere[node.name] == referenced_names(node)[node.name]
             ] == []
+
+
+def metric_functions():
+    """(module, function) for each function that a per-layer metric of
+    BENCHMARK.json reads: the one its name gives (layer.function.kind), or
+    the one perfbench/worker.py's DERIVED_FROM gives for a derived metric."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    worker = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    derived = next(
+        ast.literal_eval(node.value) for node in worker.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["DERIVED_FROM"])
+    found = set()
+    for metric in spec["per_layer"]:
+        name = metric["name"]
+        layer, _, rest = name.partition(".")
+        function = rest.rpartition(".")[0]
+        if function:
+            found.add((layer, function))
+        if name in derived:
+            found.add(tuple(derived[name].split(".")))
+    return found
+
+
+def traced_functions(path):
+    """The names the benchmark tracer wraps in a module: its public
+    functions and the public plain (undecorated) methods of its public
+    classes."""
+    tree = ast.parse(path.read_text(), str(path))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            body = [node]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            body = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+        else:
+            continue
+        names.update(n.name for n in body
+                     if not n.name.startswith("_") and not n.decorator_list)
+    return names
+
+
+def test_every_metric_function_stays_public():
+    # a metric whose function is gone or private reads absent, and the
+    # traced run's result no longer names every per-layer metric
+    wanted = metric_functions()
+    assert len(wanted) > 25 and ("dm_strata", "dm_report") in wanted
+    traced = {}
+    for module, _ in wanted:
+        path = ROOT / "src" / "strataglue" / (module + ".py")
+        traced[module] = traced_functions(path) if path.exists() else set()
+    assert sorted((module, function) for module, function in wanted
+                  if function not in traced[module]) == []

@@ -2,10 +2,13 @@
 
 Each run of ``perfbench/run.py`` must exit 0 and print, as its last line of
 standard output, one JSON object (NaN and Infinity rejected) whose
-``correct`` is true.  The traced runs wrap the package's public functions,
-so a change to a public signature or a new print can break them while every
-untraced run still passes.  The runs are one second each, on a copy of the
-checkout, so their result files stay out of the source tree.
+``correct`` is true and whose ``metrics`` are exactly the ``per_layer``
+metrics of BENCHMARK.json on a traced run and its ``end_to_end`` metrics on
+an untraced one.  The traced runs wrap the package's public functions, so a
+change to a public signature or a new print can break them while every
+untraced run still passes, and a metric whose function is gone reads
+absent.  The runs are one second each, on a copy of the checkout, so their
+result files stay out of the source tree.
 """
 
 import json
@@ -17,6 +20,8 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
+    SPEC = json.load(_fh)
 
 
 @pytest.fixture(scope="module")
@@ -46,4 +51,7 @@ def test_run_ends_in_a_correct_result(checkout, workload, trace):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines, proc.stderr
-    assert strict_json(lines[-1])["correct"] is True
+    result = strict_json(lines[-1])
+    assert result["correct"] is True
+    listed = SPEC["per_layer" if trace else "end_to_end"]
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in listed)
