@@ -14,9 +14,11 @@ dm_report is their composition, class by class over the poset.
 Many classes of one signature share labelled contractions, so dm_report
 passes one contraction table to the edge stratifications and functoriality
 checks of all its classes: for each labelled graph it meets, keyed by its
-parts, the table holds its contraction by every edge mask and its class,
-each computed once.  Called alone, each builds its own table, and no table
-outlives its call.
+parts, the table holds its row, the contraction by every edge mask, built
+in one pass over the masks, and its class, each computed once.  A report's
+table is seeded with the poset's classes, so a class graph is never keyed
+again.  Called alone, each function builds its own unseeded table, and no
+table outlives its call.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .fields import COMPLEX
 from .gluing_engine import build_atlas, linear_model
 from .linear_strata import LinearStratification, popcount
 from .stable_graphs import (StableGraph, _canonical_key, _class_of,
-                            _contracted, _key_dimension, automorphism_group,
-                            build_poset)
+                            _contraction_row, _key_dimension,
+                            automorphism_group, build_poset)
 
 
 class EdgeStratification(Record):
@@ -44,30 +46,29 @@ class EdgeStratification(Record):
 
 class _Contractions:
     """Rows and classes of labelled graphs, keyed by their parts with the
-    genera as a tuple.  A row is the contraction by every edge mask; its
-    entries are interned, so each distinct labelled graph is stored once
-    and equal entries are one object."""
+    genera as a tuple.  A row is the contraction by every edge mask, built
+    in one pass over the masks; its entries are interned, so each distinct
+    labelled graph is stored once and equal entries are one object.  A
+    seeded table maps each seed class's graph parts and key to that class,
+    so only other parts are keyed, and only a key no seed has is built."""
 
     __slots__ = ("rows", "parts", "classes", "by_key")
 
-    def __init__(self):
+    def __init__(self, seed=()):
         self.rows = {}     # parts -> contraction by each edge mask
         self.parts = {}    # parts -> the one object holding them
-        self.classes = {}  # parts -> GraphClass
-        self.by_key = {}   # canonical key -> GraphClass
+        self.classes = {(gc.graph.genera, gc.graph.edges, gc.graph.tails):
+                        gc for gc in seed}  # parts -> GraphClass
+        self.by_key = {gc.key: gc for gc in seed}  # key -> GraphClass
 
     def row(self, genera, edges, tails):
         parts = (tuple(genera), edges, tails)
         row = self.rows.get(parts)
         if row is None:
-            cuts = [()]  # the edge ids of each mask, in mask order
-            for e in range(len(edges)):
-                cuts += [cut + (e,) for cut in cuts]
             intern = self.parts.setdefault
             parts = intern(parts, parts)
-            row = self.rows[parts] = tuple(
-                intern(c, c) for c in
-                (_contracted(*parts, cut) for cut in cuts))
+            entries = _contraction_row(*parts)
+            row = self.rows[parts] = tuple(map(intern, entries, entries))
         return row
 
     def class_of(self, parts):
@@ -91,8 +92,9 @@ def edge_stratification(gc, table=None):
     at the class is C^E modulo its automorphisms, stratified by which
     gluing parameters vanish.  The direct contractions are the graph's row
     of the contraction table, and each target is the table's class of a
-    row entry: the class its key serializes, equal to the poset's class of
-    that key.  Without a table the call builds its own.
+    row entry: the seeded class with its parts or key, else the class its
+    key serializes, equal to the poset's class of that key.  Without a
+    table the call builds its own, unseeded.
     """
     if table is None:
         table = _Contractions()
@@ -196,15 +198,16 @@ def dm_report(g, n, with_atlas=True):
     Each class of the poset gets its edge stratification and the three
     checks on it, each what the public function gives alone, though the
     edge stratifications and functoriality checks share one contraction
-    table for the call.  With the atlas, the gluing engine runs on each
-    stratification; since the outcome depends only on the stratification,
-    one report runs it once per field and class data.  Without it, the
-    report holds the graph checks alone.
+    table for the call, seeded with the poset's classes.  With the atlas,
+    the gluing engine runs on each stratification; since the outcome
+    depends only on the stratification, one report runs it once per field
+    and class data.  Without it, the report holds the graph checks alone.
     """
-    table = _Contractions()
+    classes = build_poset(g, n).elements
+    table = _Contractions(classes)
     atlas_cache = {}
     entries = []
-    for gc in build_poset(g, n).elements:
+    for gc in classes:
         es = edge_stratification(gc, table)
         dim_rep = verify_dimension_matching(es)
         fun_rep = contraction_functoriality(es, table)

@@ -49,50 +49,76 @@ class StabilityError(GraphError):
     pass
 
 
-def _components(nv, edges):
-    """Each of the nv vertices' smallest component vertex under the edges.
+def _union(parent, u, v):
+    """Join the components of u and v, the larger root under the smaller,
+    so each parent is at most its vertex and each root is its component's
+    smallest vertex."""
+    while parent[u] != u:
+        u = parent[u]
+    while parent[v] != v:
+        v = parent[v]
+    if u < v:
+        parent[v] = u
+    else:
+        parent[u] = v
 
-    A union-find that always links the larger root under the smaller one,
-    so every vertex's parent is at most the vertex itself; one pass in
-    vertex order then sends each vertex to its root, whose own entry is
-    already final.
-    """
-    parent = list(range(nv))
+
+def _parts_of(genera, edges, tails, parent, mask, pairs):
+    """Parts of the contraction by the edges in mask, from the parents that
+    ``_union`` left along them.  Components are numbered by their smallest
+    vertex, each with genus by closure: its members' genera plus its Betti
+    number, cut edges inside minus vertices plus one.  Surviving edges keep
+    their order, each the normal-form ``pairs[a][b]`` of its new ends."""
+    new_of = []  # the component number of each vertex
+    new_genera = []
+    for v, p in enumerate(parent):
+        if p == v:
+            new_of.append(len(new_genera))
+            new_genera.append(genera[v])
+        else:  # p < v, so new_of[p] is its component's
+            c = new_of[p]
+            new_of.append(c)
+            new_genera[c] += genera[v] - 1
+    new_edges = []
     for u, v in edges:
-        while parent[u] != u:
-            u = parent[u]
-        while parent[v] != v:
-            v = parent[v]
-        if u < v:
-            parent[v] = u
+        if mask & 1:
+            new_genera[new_of[u]] += 1
         else:
-            parent[u] = v
-    for v in range(nv):
-        parent[v] = parent[parent[v]]
-    return parent
+            new_edges.append(pairs[new_of[u]][new_of[v]])
+        mask >>= 1
+    return (tuple(new_genera), tuple(new_edges),
+            tuple(map(new_of.__getitem__, tails)))
+
+
+def _pairs(nv):
+    return [[(a, b) if a <= b else (b, a) for b in range(nv)]
+            for a in range(nv)]
 
 
 def _contracted(genera, edges, tails, cut):
-    """StableGraph.contract on parts, by the set cut of valid edge ids."""
-    root = _components(len(genera), [edges[e] for e in cut])
-    new_of = []  # components numbered by root, their first vertex
-    new_genera = []
-    for v, r in enumerate(root):
-        if r == v:
-            new_of.append(len(new_genera))
-            new_genera.append(genera[v])
-        else:
-            new_of.append(new_of[r])
-            new_genera[new_of[r]] += genera[v] - 1
-    new_edges = []
-    for e, (u, v) in enumerate(edges):
-        if e in cut:
-            new_genera[new_of[u]] += 1
-        else:
-            a, b = new_of[u], new_of[v]
-            new_edges.append((a, b) if a <= b else (b, a))
-    return (tuple(new_genera), tuple(new_edges),
-            tuple(map(new_of.__getitem__, tails)))
+    """StableGraph.contract on parts, by the set cut of valid edge ids: a
+    ``_union`` per cut edge, then ``_parts_of``, as a row entry is made."""
+    parent = list(range(len(genera)))
+    for e in cut:
+        _union(parent, *edges[e])
+    return _parts_of(genera, edges, tails, parent,
+                     sum(1 << e for e in set(cut)), _pairs(len(genera)))
+
+
+def _contraction_row(genera, edges, tails):
+    """The contraction by every edge mask, in mask order, in one pass: a
+    mask's parents are those of the mask without its lowest edge plus one
+    union, and its entry is ``_parts_of`` them, never one built from
+    another entry.  The entries share their edge pairs."""
+    pairs = _pairs(len(genera))
+    parents = [list(range(len(genera)))]
+    for mask in range(1, 1 << len(edges)):
+        low = mask & -mask
+        parent = parents[mask ^ low][:]
+        _union(parent, *edges[low.bit_length() - 1])
+        parents.append(parent)
+    return [_parts_of(genera, edges, tails, parent, mask, pairs)
+            for mask, parent in enumerate(parents)]
 
 
 class StableGraph(Record):
@@ -143,7 +169,10 @@ class StableGraph(Record):
         return _vertex_invariants(self.genera, self.edges, self.tails)[v][1]
 
     def is_connected(self):
-        return len(set(_components(self.num_vertices, self.edges))) == 1
+        parent = list(range(self.num_vertices))
+        for u, v in self.edges:
+            _union(parent, u, v)
+        return all(parent[v] != v for v in range(1, self.num_vertices))
 
     def genus(self):
         """Total genus: sum of weights plus the first Betti number."""

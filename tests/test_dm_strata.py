@@ -15,9 +15,9 @@ from strataglue.fields import COMPLEX, real_axes
 from strataglue.gluing_engine import GluingDatum, build_atlas, linear_model
 from strataglue.linear_strata import popcount, validate
 from strataglue.regions import Region
-from strataglue.stable_graphs import (StableGraph, _canonical_key,
-                                      _contracted, automorphism_group,
-                                      build_poset, enumerate_stable_graphs)
+from strataglue.stable_graphs import (StableGraph, _contracted,
+                                      automorphism_group, build_poset,
+                                      enumerate_stable_graphs)
 
 import oracles
 
@@ -235,22 +235,40 @@ class TestContractionTable:
             assert all(table.rows[parts] is row
                        for parts, row in held.items())
 
+    @pytest.mark.parametrize("g,n", [(1, 3), (2, 1), (2, 2), (0, 6)])
+    def test_row_is_each_mask_contracted(self, g, n):
+        """The one-pass row of every class graph is, mask by mask, its
+        contraction by that mask alone."""
+        table = dm_strata._Contractions()
+        for gc in build_poset(g, n).elements:
+            graph = gc.graph
+            parts = (graph.genera, graph.edges, graph.tails)
+            row = table.row(*parts)
+            assert len(row) == 1 << graph.num_edges
+            for mask, entry in enumerate(row):
+                assert entry == _contracted(*parts, edge_list(mask)), (
+                    gc.describe(), mask)
+
     @pytest.mark.parametrize("g,n", [(0, 5), (1, 3), (2, 1)])
     def test_each_labelled_graph_once(self, g, n, monkeypatch):
-        """A report contracts each distinct labelled graph it meets by
-        every edge mask once and keys it once, and builds one class per
-        key: its labelled graphs are the kept contractions of its classes,
-        the class graphs among them."""
+        """A report builds one row for each distinct labelled graph it
+        meets, the kept contractions of its classes, and keys only those
+        that are not class graphs: its table is seeded with the poset's
+        classes and their keys, so it builds no class of its own."""
+        classes = build_poset(g, n).elements
         met = {(c.genera, c.edges, c.tails)
-               for gc in build_poset(g, n).elements
+               for gc in classes
                for c in edge_stratification(gc).contractions}
-        calls = {"_contracted": 0, "_canonical_key": 0, "_class_of": 0}
+        class_parts = {(gc.graph.genera, gc.graph.edges, gc.graph.tails)
+                       for gc in classes}
+        calls = {"_contraction_row": [], "_canonical_key": [],
+                 "_class_of": []}
 
         def counted(name):
             fn = getattr(dm_strata, name)
 
             def call(*args):
-                calls[name] += 1
+                calls[name].append(args)
                 return fn(*args)
             return call
 
@@ -258,10 +276,12 @@ class TestContractionTable:
             monkeypatch.setattr(dm_strata, name, counted(name))
         dm_report(g, n, with_atlas=False)
         monkeypatch.undo()
-        assert calls == {
-            "_contracted": sum(1 << len(edges) for _, edges, _ in met),
-            "_canonical_key": len(met),
-            "_class_of": len({_canonical_key(*parts) for parts in met})}
+        rows = calls["_contraction_row"]
+        keyed = calls["_canonical_key"]
+        assert len(rows) == len(set(rows)) and set(rows) == met
+        assert len(keyed) == len(set(keyed))
+        assert set(keyed) == met - class_parts
+        assert calls["_class_of"] == []
 
 
 class TestEquivariance:
