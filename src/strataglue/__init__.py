@@ -14,11 +14,8 @@ class Record:
     (every field unless a class narrows it), hash those, and print as
     ``Name(field=value, ...)``.  A class whose constructor checks or
     normalizes its fields spells out its ``__init__``, setting each field
-    with ``_set``; the others take this one.  Only StableGraph copies code
-    of this class, its ``_compared`` and its unchecked ``_of``: every edge
-    contraction runs both, and the ``dm`` benchmark slows measurably when
-    they take Record's.  GluingDatum also has an unchecked ``_of``, for
-    data built in normal form."""
+    with ``_set``; the others take this one.  ``_of`` is the one unchecked
+    constructor, for values already in the form the checks would give."""
 
     __slots__ = ()
     _fields = ()
@@ -37,6 +34,14 @@ class Record:
                 type(self).__qualname__, ", ".join(names)))
         for name, value in zip(names, args):
             _set(self, name, value)
+
+    @classmethod
+    def _of(cls, *values):
+        """A record of the field values in field order, unchecked."""
+        record = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            _set(record, name, value)
+        return record
 
     def _compared(self):
         return tuple(map(self.__getattribute__, self._fields))

@@ -11,14 +11,11 @@ functoriality of iterated contraction, and equivariance under the graph's
 automorphisms.  Each check reads only its EdgeStratification, and
 dm_report is their composition, class by class over the poset.
 
-Many classes of one signature share labelled contractions, so dm_report
-passes one contraction table to the edge stratifications and functoriality
-checks of all its classes: for each labelled graph it meets, keyed by its
-parts, the table holds its row, the contraction by every edge mask, built
-in one pass over the masks, and its class, each computed once.  A report's
-table is seeded with the poset's classes, so a class graph is never keyed
-again.  Called alone, each function builds its own unseeded table, and no
-table outlives its call.
+A labelled graph is held here only as its parts (genera, edges, tails).
+A contraction table holds the row and the class of each one met, each
+computed once; dm_report shares one table, seeded with the poset's
+classes, between all its classes, and a public function called alone
+builds its own, unseeded.
 """
 
 from __future__ import annotations
@@ -26,17 +23,17 @@ from __future__ import annotations
 from . import Record
 from .fields import COMPLEX
 from .gluing_engine import build_atlas, linear_model
-from .linear_strata import LinearStratification, popcount
-from .stable_graphs import (StableGraph, _canonical_key, _class_of,
-                            _contraction_row, _key_dimension,
-                            automorphism_group, build_poset)
+from .linear_strata import LinearStratification
+from .stable_graphs import (_canonical_key, _class_of, _contraction_row,
+                            _key_dimension, automorphism_group, build_poset)
 
 
 class EdgeStratification(Record):
     """Partition of the edge power set by contraction target."""
 
     # targets: (target GraphClass, tuple of edge masks) per class;
-    # contractions: the labelled contracted graph per edge mask
+    # contractions: the parts of the contracted graph per edge mask, the
+    # class graph's row of the contraction table
     __slots__ = ("graph_class", "targets", "stratification", "contractions")
 
     @property
@@ -45,12 +42,13 @@ class EdgeStratification(Record):
 
 
 class _Contractions:
-    """Rows and classes of labelled graphs, keyed by their parts with the
-    genera as a tuple.  A row is the contraction by every edge mask, built
-    in one pass over the masks; its entries are interned, so each distinct
-    labelled graph is stored once and equal entries are one object.  A
-    seeded table maps each seed class's graph parts and key to that class,
-    so only other parts are keyed, and only a key no seed has is built."""
+    """Rows and classes of labelled graphs, keyed by their parts.  A row
+    is the contraction by every edge mask, built in one pass over the
+    masks; its entries are interned, so each distinct labelled graph is
+    stored once and equal entries are one object.  A seeded table maps
+    each seed class's graph parts and key to that class, so only other
+    parts are keyed, and only a key no seed has is built: the class its
+    key serializes, equal to the poset's class of that key."""
 
     __slots__ = ("rows", "parts", "classes", "by_key")
 
@@ -61,9 +59,12 @@ class _Contractions:
                         gc for gc in seed}  # parts -> GraphClass
         self.by_key = {gc.key: gc for gc in seed}  # key -> GraphClass
 
-    def row(self, genera, edges, tails):
-        parts = (tuple(genera), edges, tails)
-        row = self.rows.get(parts)
+    def row(self, parts):
+        try:
+            row = self.rows.get(parts)
+        except TypeError:  # genera not a tuple: key them as one
+            parts = (tuple(parts[0]),) + parts[1:]
+            row = self.rows.get(parts)
         if row is None:
             intern = self.parts.setdefault
             parts = intern(parts, parts)
@@ -90,26 +91,23 @@ def edge_stratification(gc, table=None):
     dimension |E|, which is validated on construction.  It is over C: a
     node is smoothed by the plumbing z*w = t with t complex, so the chart
     at the class is C^E modulo its automorphisms, stratified by which
-    gluing parameters vanish.  The direct contractions are the graph's row
-    of the contraction table, and each target is the table's class of a
-    row entry: the seeded class with its parts or key, else the class its
-    key serializes, equal to the poset's class of that key.  Without a
-    table the call builds its own, unseeded.
+    gluing parameters vanish.  The contractions are the graph's row of
+    the contraction table, and each target is the table's class of a row
+    entry.
     """
     if table is None:
         table = _Contractions()
     graph = gc.graph
-    row = table.row(graph.genera, graph.edges, graph.tails)
+    row = table.row((graph.genera, graph.edges, graph.tails))
     groups = {}
     for mask, parts in enumerate(row):
         groups.setdefault(table.class_of(parts), []).append(mask)
     targets = sorted(((target, tuple(masks))
                       for target, masks in groups.items()),
-                     key=lambda pair: (popcount(pair[1][0]), pair[1]))
+                     key=lambda pair: (pair[1][0].bit_count(), pair[1]))
     classes = tuple(masks for _, masks in targets)
     strat = LinearStratification(graph.num_edges, COMPLEX, classes)
-    return EdgeStratification(gc, tuple(targets), strat,
-                              tuple(StableGraph._of(*parts) for parts in row))
+    return EdgeStratification(gc, tuple(targets), strat, row)
 
 
 def verify_dimension_matching(es):
@@ -122,7 +120,7 @@ def verify_dimension_matching(es):
     dim = _key_dimension(es.graph_class.key)
     violations = []
     for target, masks in es.targets:
-        k = popcount(masks[0])
+        k = masks[0].bit_count()
         target_dim = _key_dimension(target.key)
         if dim + k != target_dim:
             violations.append("%s: %d + %d != %d" % (target.describe(), dim,
@@ -138,28 +136,27 @@ def contraction_functoriality(es, table=None):
     I.  Both number vertices by smallest original vertex and keep the order
     of surviving edges, so this is exact, not up to isomorphism.  The
     second step is read off the contraction table's row of the kept
-    contraction by I, and compared, as parts, with the contraction kept
-    for I': no graph is built.  The image numbers the edges outside I in
-    order, so the I' above I, in increasing order, have as images the
-    subsets of that contraction's edges in increasing order.  All 3^|E|
-    pairs are compared.  The contraction by no edges must be the graph
-    itself, so the check can fail on a class without edges too.  Without
-    a table the call builds its own.
+    contraction by I, and compared with the contraction kept for I'.  The
+    image numbers the edges outside I in order, so the I' above I, in
+    increasing order, have as images the subsets of that contraction's
+    edges in increasing order.  All 3^|E| pairs are compared.  The
+    contraction by no edges must be the graph itself, so the check can
+    fail on a class without edges too.
     """
     if table is None:
         table = _Contractions()
     graph = es.graph_class.graph
     full = (1 << graph.num_edges) - 1
     direct = es.contractions
-    parts = [(c.genera, c.edges, c.tails) for c in direct]
-    violations = [] if direct[0] == graph else ["I=[] is not the graph"]
-    for inner, kept in enumerate(parts):
-        row = table.row(*kept)
+    violations = ([] if direct[0] == (graph.genera, graph.edges, graph.tails)
+                  else ["I=[] is not the graph"])
+    for inner, kept in enumerate(direct):
+        row = table.row(kept)
         rest = full ^ inner
         extra = 0  # runs over the subsets of rest in increasing order
-        for image in range(1 << popcount(rest)):
+        for image in range(1 << rest.bit_count()):
             outer = inner | extra
-            if row[image] != parts[outer]:
+            if row[image] != direct[outer]:
                 violations.append("I=%s I'=%s" % (_edge_list(inner),
                                                   _edge_list(outer)))
             extra = (extra - rest) & rest
@@ -196,12 +193,11 @@ def dm_report(g, n, with_atlas=True):
     """Per-class verification report for one signature.
 
     Each class of the poset gets its edge stratification and the three
-    checks on it, each what the public function gives alone, though the
-    edge stratifications and functoriality checks share one contraction
-    table for the call, seeded with the poset's classes.  With the atlas,
-    the gluing engine runs on each stratification; since the outcome
-    depends only on the stratification, one report runs it once per field
-    and class data.  Without it, the report holds the graph checks alone.
+    checks on it, each what the public function gives alone.  With the
+    atlas, the gluing engine runs on each stratification; since the
+    outcome depends only on the stratification, one report runs it once
+    per field and class data.  Without it, the report holds the graph
+    checks alone.
     """
     classes = build_poset(g, n).elements
     table = _Contractions(classes)

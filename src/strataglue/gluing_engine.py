@@ -13,37 +13,15 @@ nested support chain through given classes, a decided check of the rules.
 
 The paper's construction runs one pass per poset layer: the data induced
 from the strata below (induce) are sewed over the union of their chart
-images (sew) and extended inward to the whole stratum (inward_extend, which
-checks agreement on a collar), and the radii below are capped at half the
-collar radius.  On this model the chain always returns the canonical datum,
-and the collar radius is half the smallest radius below, so build_atlas
-writes that closed form directly (its docstring gives the reasons); the
-chain stays public as the tests' reference that build_atlas must reproduce,
-and perfbench's per-layer metrics name induce, sew and inward_extend.  The
-report certifies pairwise compatibility (on every common higher stratum the
-data induced over the two whole chart images agree in metric and words, or
-else those images, built only then, are disjoint), the separation of images
-of incomparable strata, and that the chart images cover the whole space.
-
-Separation and cover are decided exactly, with the same box calculus as
-that disjointness, on each support piece's own axes (the piece
-representation of strataglue.regions).  The image of a chart over a
-stratum is an exact region of support-tagged terms (image_region), so on
-each support piece both conditions are covers of the piece's cells by the
-open boxes tagged there, decided on the ranks of the box corners.  One
-build ranks the ends once, builds each datum's image boxes in one pass
-tagged with every support above it, and stores the boxes of each piece
-V^[J] on J's own axes, with the empty ones dropped.  Each question is asked
-coarse first, on the closure of the piece inside each inner box (one cell
-per box), and split into the piece's cells only when those leave a gap;
-the cells lie inside those closures, so the answer is the exact one.  A
-failing check reports one point of an uncovered cell as its witness, 0 off
-J.
-
-One build derives the class order once, as a table of strat.above rows
-shared by the radius loop, the exact checks and the compatibility of every
-pair, and takes each datum's words over each stratum once.  The table lives
-for one build_atlas call only; AtlasReport.stats counts that work.
+images (sew) and extended inward to the whole stratum (inward_extend).  On
+this model that chain always returns the canonical datum, so build_atlas
+writes its closed form directly; the chain stays public as the tests'
+reference that build_atlas must reproduce, and perfbench's per-layer
+metrics name induce, sew and inward_extend.  The report certifies pairwise
+compatibility (check_compatible), the separation of the images of
+incomparable strata, and that the chart images cover the whole space; the
+last two are decided exactly on support pieces, the piece representation
+of strataglue.regions (_exact_checks).
 """
 
 from __future__ import annotations
@@ -53,7 +31,7 @@ from fractions import Fraction
 
 from . import Record, _set, replace
 from .fields import box_abs, from_real_parts, real_axes, zero
-from .linear_strata import LinearStratification, OrderError, popcount
+from .linear_strata import LinearStratification, OrderError
 from .regions import (Region, _inside, _on_piece, _piece_gap, _ranking,
                       collar, covered, full_box, meet, region_contains,
                       region_subset, whole_stratum)
@@ -235,7 +213,7 @@ def linear_model(strat):
     """
     layers = [[] for _ in range(strat.m + 1)]
     for a, masks in enumerate(strat.classes):
-        layers[popcount(masks[0])].append(a)
+        layers[masks[0].bit_count()].append(a)
     return StratifiedModel(strat=strat,
                            layers=tuple(tuple(layer) for layer in layers))
 
@@ -243,13 +221,8 @@ def linear_model(strat):
 def _canonical(model, a, above_a, epsilon, scales):
     """canonical_datum unchecked, on above_a = strat.above(a)."""
     return GluingDatum._of(
-        stratum=a,
-        region=whole_stratum(model.strat, model.field, a),
-        scales=scales,
-        epsilon=epsilon,
-        phi_word=(glue(a),),
-        bundle_words={b: (phi(a, b),) if b != a else () for b in above_a},
-    )
+        a, whole_stratum(model.strat, model.field, a), scales, epsilon,
+        (glue(a),), {b: (phi(a, b),) if b != a else () for b in above_a})
 
 
 def _check_metric(epsilon, scales):
@@ -276,19 +249,6 @@ class GluingDatum(Record):
         _set(self, "phi_word", normalize(phi_word))
         _set(self, "bundle_words",
              {b: normalize(w) for b, w in sorted(bundle_words.items())})
-
-    @classmethod
-    def _of(cls, stratum, region, scales, epsilon, phi_word, bundle_words):
-        """Unchecked datum from a positive metric and normal-form words,
-        bundle words in stratum order."""
-        datum = object.__new__(cls)
-        _set(datum, "stratum", stratum)
-        _set(datum, "region", region)
-        _set(datum, "scales", scales)
-        _set(datum, "epsilon", epsilon)
-        _set(datum, "phi_word", phi_word)
-        _set(datum, "bundle_words", bundle_words)
-        return datum
 
     def to_json(self):
         return {

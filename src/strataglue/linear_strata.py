@@ -30,7 +30,7 @@ class OrderError(StratificationError):
 def mask_of(indices, m):
     """Bitmask of 1-based indices in R^m.  An index above m takes a bit of
     its own past m, not bit i - 1: the mask is out of range with the
-    popcount it would have, and a huge index builds no huge int."""
+    bit count it would have, and a huge index builds no huge int."""
     mask, seen = 0, set()
     for i in indices:
         if type(i) is not int or i < 1:
@@ -53,10 +53,6 @@ def indices_of(mask):
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-def popcount(mask):
-    return bin(mask).count("1")
 
 
 class LinearStratification(Record):
@@ -203,7 +199,7 @@ def validate(m, classes, field=REAL):
         if not masks:
             violations.append("class %d is empty" % a)
             continue
-        sizes = {popcount(I) for I in masks}
+        sizes = {I.bit_count() for I in masks}
         if len(sizes) > 1:
             violations.append("class %d mixes cardinalities %s"
                               % (a, sorted(sizes)))

@@ -153,9 +153,6 @@ class StableGraph(Record):
         _set(self, "edges", tuple(normal))
         _set(self, "tails", tails)
 
-    def _compared(self):  # Record's, spelled out: graphs compare often
-        return self.genera, self.edges, self.tails
-
     @property
     def num_vertices(self):
         return len(self.genera)
@@ -220,15 +217,6 @@ class StableGraph(Record):
                       else (perm[v], perm[u]) for u, v in self.edges)
         tails = tuple(perm[v] for v in self.tails)
         return StableGraph._of(tuple(genera), edges, tails)
-
-    @classmethod
-    def _of(cls, genera, edges, tails):
-        """Unchecked graph from normal-form parts (int tuples, u <= v)."""
-        graph = object.__new__(cls)
-        _set(graph, "genera", genera)
-        _set(graph, "edges", edges)
-        _set(graph, "tails", tails)
-        return graph
 
     def canonical_form(self):
         """Canonical isomorphism class; tails fixed pointwise.

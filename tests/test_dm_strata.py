@@ -13,7 +13,7 @@ from strataglue.dm_strata import (
 )
 from strataglue.fields import COMPLEX, real_axes
 from strataglue.gluing_engine import GluingDatum, build_atlas, linear_model
-from strataglue.linear_strata import popcount, validate
+from strataglue.linear_strata import validate
 from strataglue.regions import Region
 from strataglue.stable_graphs import (StableGraph, _contracted,
                                       automorphism_group, build_poset,
@@ -58,7 +58,7 @@ class TestEdgeStratification:
         for gc in enumerate_stable_graphs(2, 0):
             es = edge_stratification(gc)
             for _, masks in es.targets:
-                assert len({popcount(m) for m in masks}) == 1
+                assert len({m.bit_count() for m in masks}) == 1
 
     def test_zero_edge_graph(self):
         es = edge_stratification(G([1], [], [0]).canonical_form())
@@ -85,7 +85,7 @@ class TestDimensionMatching:
         # (dimension 1); naming LOOP11 itself as that target breaks 0 + 1
         es = edge_stratification(LOOP11)
         (same, none), (_, one) = es.targets
-        assert same == LOOP11 and popcount(one[0]) == 1
+        assert same == LOOP11 and one[0].bit_count() == 1
         rep = verify_dimension_matching(
             replace(es, targets=((same, none), (LOOP11, one))))
         assert not rep["ok"]
@@ -121,11 +121,11 @@ class TestFunctoriality:
                 ne = gc.graph.num_edges
                 pairs = [(I, J) for I in range(1 << ne)
                          for J in range(1 << ne) if J & I == I]
-                for mask, c in enumerate(table):
+                for mask, (genera, edges, tails) in enumerate(table):
                     cases = (
-                        (G(c.genera, c.edges, c.tails + (0,)),
+                        ((genera, edges, tails + (0,)),
                          lambda I, J: (I == mask) != (J == mask)),
-                        (StableGraph._of(list(c.genera), c.edges, c.tails),
+                        ((list(genera), edges, tails),
                          lambda I, J: J == mask))
                     for wrong, reads in cases:
                         bad = replace(es, contractions=table[:mask]
@@ -168,8 +168,7 @@ class TestFunctoriality:
                     if J & I != I:
                         continue
                     image = {outside.index(e) for e in edge_list(J ^ I)}
-                    assert _contracted(first.genera, first.edges,
-                                       first.tails, image) == (
+                    assert _contracted(*first, image) == (
                         oracles.contract_by_closure(
                             *oracles.contract_by_closure(
                                 *parts, edge_list(I)), image)) == (
@@ -187,11 +186,11 @@ def wrong_entries(es):
     ne = es.graph_class.graph.num_edges
     pairs = [(I, J) for I in range(1 << ne)
              for J in range(1 << ne) if J & I == I]
-    for mask, c in enumerate(table):
+    for mask, (genera, edges, tails) in enumerate(table):
         cases = (
-            (G(c.genera, c.edges, c.tails + (0,)),
+            ((genera, edges, tails + (0,)),
              lambda I, J: (I == mask) != (J == mask)),
-            (StableGraph._of(list(c.genera), c.edges, c.tails),
+            ((list(genera), edges, tails),
              lambda I, J: J == mask))
         for wrong, reads in cases:
             expected = ["I=[] is not the graph"] * (mask == 0)
@@ -243,7 +242,7 @@ class TestContractionTable:
         for gc in build_poset(g, n).elements:
             graph = gc.graph
             parts = (graph.genera, graph.edges, graph.tails)
-            row = table.row(*parts)
+            row = table.row(parts)
             assert len(row) == 1 << graph.num_edges
             for mask, entry in enumerate(row):
                 assert entry == _contracted(*parts, edge_list(mask)), (
@@ -256,8 +255,7 @@ class TestContractionTable:
         that are not class graphs: its table is seeded with the poset's
         classes and their keys, so it builds no class of its own."""
         classes = build_poset(g, n).elements
-        met = {(c.genera, c.edges, c.tails)
-               for gc in classes
+        met = {c for gc in classes
                for c in edge_stratification(gc).contractions}
         class_parts = {(gc.graph.genera, gc.graph.edges, gc.graph.tails)
                        for gc in classes}
@@ -282,6 +280,42 @@ class TestContractionTable:
         assert len(keyed) == len(set(keyed))
         assert set(keyed) == met - class_parts
         assert calls["_class_of"] == []
+
+    def test_contractions_are_the_table_row(self):
+        """With a shared table, a class's contractions are the table's row
+        of its graph's parts, the same tuple, whose first entry is those
+        parts."""
+        classes = build_poset(1, 3).elements
+        table = dm_strata._Contractions(classes)
+        for gc in classes:
+            graph = gc.graph
+            parts = (graph.genera, graph.edges, graph.tails)
+            es = edge_stratification(gc, table)
+            assert es.contractions is table.rows[parts]
+            assert es.contractions[0] == parts
+
+    @pytest.mark.parametrize("g,n", [(0, 5), (1, 3)])
+    def test_report_builds_the_poset_graphs_alone(self, g, n, monkeypatch):
+        """A graph-only report constructs as many StableGraphs as
+        build_poset alone: the dm layer holds labelled graphs as parts."""
+        built = []
+        init, of = StableGraph.__init__, StableGraph._of.__func__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        def counted_of(cls, *values):
+            built.append(values)
+            return of(cls, *values)
+
+        monkeypatch.setattr(StableGraph, "__init__", counted_init)
+        monkeypatch.setattr(StableGraph, "_of", classmethod(counted_of))
+        build_poset(g, n)
+        alone = len(built)
+        del built[:]
+        dm_report(g, n, with_atlas=False)
+        assert alone > 0 and len(built) == alone
 
 
 class TestEquivariance:

@@ -14,8 +14,7 @@ from strataglue.dm_strata import edge_stratification
 from strataglue.fields import COMPLEX, REAL, from_real_parts, real_axes
 from strataglue.linear_strata import (LinearStratification, OrderError,
                                       chain_stratification,
-                                      enumerate_stratifications, mask_of,
-                                      popcount)
+                                      enumerate_stratifications, mask_of)
 from strataglue.gluing_engine import (
     STATS,
     EngineError,
@@ -1016,7 +1015,7 @@ def test_check_compatible_matches_eager_definition():
 def all_singleton(m, field):
     """The stratification with one class per support, smallest first."""
     return LinearStratification(m, field, tuple(
-        (J,) for J in sorted(range(1 << m), key=lambda J: (popcount(J), J))))
+        (J,) for J in sorted(range(1 << m), key=lambda J: (J.bit_count(), J))))
 
 
 @pytest.mark.parametrize("m,field", [(4, COMPLEX), (5, REAL), (5, COMPLEX)])

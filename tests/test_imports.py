@@ -1,8 +1,9 @@
 """Every name a module imports is referenced in that module, every private
 function of the package is referenced outside its definition, no module of
 the package imports dataclasses, only the command line writes to standard
-output, nothing in the package starts a process or a thread, and every
-function a benchmark metric reads stays public."""
+output, nothing in the package starts a process or a thread, every
+function a benchmark metric reads stays public, and only Record has an
+unchecked constructor."""
 
 import ast
 import collections
@@ -162,3 +163,20 @@ def test_every_metric_function_stays_public():
         traced[module] = traced_functions(path) if path.exists() else set()
     assert sorted((module, function) for module, function in wanted
                   if function not in traced[module]) == []
+
+
+def classes_defining(name):
+    """The classes of the package whose own body defines the method."""
+    return sorted(
+        node.name for path in sorted(ROOT.glob("src/strataglue/*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(n, ast.FunctionDef) and n.name == name
+                for n in node.body))
+
+
+def test_record_holds_the_one_unchecked_constructor():
+    # a record class copies no Record code; GraphClass narrows what
+    # equality means to its key
+    assert classes_defining("_of") == ["Record"]
+    assert classes_defining("_compared") == ["GraphClass", "Record"]

@@ -108,7 +108,9 @@ def test_fields_cannot_change(record):
 @pytest.mark.parametrize("record", one_of_each(),
                          ids=lambda r: type(r).__name__)
 def test_copies_are_equal(record):
-    for twin in (replace(record), copy.copy(record)):
+    fields = [getattr(record, name) for name in record._fields]
+    for twin in (replace(record), copy.copy(record),
+                 type(record)._of(*fields)):
         assert type(twin) is type(record) and twin == record
         assert repr(twin) == repr(record)
 
